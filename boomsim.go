@@ -155,7 +155,7 @@ func (s *Simulation) spec() sim.Spec {
 // WithProgress granularity, or every sim chunk by default) and returns
 // ErrCanceled — wrapping ctx's own error — if it fires mid-run.
 func (s *Simulation) Run(ctx context.Context) (Result, error) {
-	return s.runWithHooks(ctx, s.warmObs)
+	return s.runWithHooks(ctx, nil)
 }
 
 // runWithHooks is Run with an explicit warm observer: the matrix runner's

@@ -257,3 +257,60 @@ func TestFastRetireStopAfterCompletesTheCrossingCycle(t *testing.T) {
 		t.Fatalf("retired = %d, want 9 (full width on the crossing cycle)", b.Retired())
 	}
 }
+
+// retiredMaster returns a backend whose last FastRetire left events behind,
+// so its fastRetired scratch has capacity a careless Clone would share, and
+// whose window holds three resolved one-instruction groups for a fork's
+// FastRetire(33, 34, 0) to retire within that capacity.
+func retiredMaster(t *testing.T) *Backend {
+	t.Helper()
+	b := New(cfg()) // RetireWidth 3
+	for id := uint64(1); id <= 6; id++ {
+		b.Push(Group{ID: id, NInstr: 1, FetchDone: 0})
+	}
+	b.Tick(12) // resolves all six, retires 1-3
+	b.FastRetire(13, 14, 0)
+	if len(b.RetiredEvents()) != 3 {
+		t.Fatalf("master FastRetire retired %d groups, want 3", len(b.RetiredEvents()))
+	}
+	for id := uint64(7); id <= 12; id++ {
+		b.Push(Group{ID: id, NInstr: 1, FetchDone: 20})
+	}
+	b.Tick(32) // resolves 7-12, retires 7-9
+	return b
+}
+
+func TestCloneRetiredEventsDoNotAlias(t *testing.T) {
+	master := retiredMaster(t)
+	a, b := master.Clone(), master.Clone()
+	a.FastRetire(33, 34, 0)
+	b.FastRetire(33, 34, 0)
+	ea, eb, em := a.RetiredEvents(), b.RetiredEvents(), master.RetiredEvents()
+	if len(ea) == 0 || len(eb) == 0 {
+		t.Fatalf("clones retired nothing: %d, %d events", len(ea), len(eb))
+	}
+	if &ea[0] == &eb[0] || &ea[0] == &em[:1][0] || &eb[0] == &em[:1][0] {
+		t.Fatal("clones share RetiredEvents storage with each other or the master")
+	}
+}
+
+// TestCloneFastRetireConcurrent runs FastRetire on two forks of one master
+// at the same time; under -race it catches any shared scratch storage.
+func TestCloneFastRetireConcurrent(t *testing.T) {
+	master := retiredMaster(t)
+	forks := []*Backend{master.Clone(), master.Clone()}
+	done := make(chan uint64)
+	for _, f := range forks {
+		go func(f *Backend) {
+			f.FastRetire(33, 34, 0)
+			var sum uint64
+			for _, e := range f.RetiredEvents() {
+				sum += e.ID
+			}
+			done <- sum
+		}(f)
+	}
+	if a, b := <-done, <-done; a != b || a == 0 {
+		t.Fatalf("forks retired different groups: ID sums %d and %d", a, b)
+	}
+}

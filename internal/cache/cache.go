@@ -18,9 +18,10 @@ type Line = uint64
 // LineOf maps an instruction address to its line index.
 func LineOf(pc isa.Addr) Line { return pc / isa.BlockBytes }
 
+// way is one 16-byte cache way. key is line+1, so the zero value is an
+// invalid way and no separate valid flag is needed.
 type way struct {
-	tag     uint64
-	valid   bool
+	key     uint64
 	lastUse int64
 }
 
@@ -82,9 +83,9 @@ func (c *SetAssoc) set(line Line) []way {
 
 // Lookup checks for the line, updating LRU and hit/miss counters on use.
 func (c *SetAssoc) Lookup(line Line, now int64) bool {
-	s := c.set(line)
+	s, key := c.set(line), line+1
 	for i := range s {
-		if s[i].valid && s[i].tag == line {
+		if s[i].key == key {
 			s[i].lastUse = now
 			c.hits++
 			return true
@@ -97,9 +98,9 @@ func (c *SetAssoc) Lookup(line Line, now int64) bool {
 // Contains probes without perturbing LRU or counters (prefetch probes use
 // this so probing does not distort replacement).
 func (c *SetAssoc) Contains(line Line) bool {
-	s := c.set(line)
+	s, key := c.set(line), line+1
 	for i := range s {
-		if s[i].valid && s[i].tag == line {
+		if s[i].key == key {
 			return true
 		}
 	}
@@ -109,32 +110,32 @@ func (c *SetAssoc) Contains(line Line) bool {
 // Insert fills the line, evicting the LRU way if needed. It returns the
 // victim line when a valid entry was displaced.
 func (c *SetAssoc) Insert(line Line, now int64) (victim Line, evicted bool) {
-	s := c.set(line)
+	s, key := c.set(line), line+1
 	lru := 0
 	for i := range s {
-		if s[i].valid && s[i].tag == line {
+		if s[i].key == key {
 			s[i].lastUse = now // already present; refresh
 			return 0, false
 		}
-		if !s[i].valid {
-			s[i] = way{tag: line, valid: true, lastUse: now}
+		if s[i].key == 0 {
+			s[i] = way{key: key, lastUse: now}
 			return 0, false
 		}
 		if s[i].lastUse < s[lru].lastUse {
 			lru = i
 		}
 	}
-	victim = s[lru].tag
-	s[lru] = way{tag: line, valid: true, lastUse: now}
+	victim = s[lru].key - 1
+	s[lru] = way{key: key, lastUse: now}
 	return victim, true
 }
 
 // Invalidate drops the line if present.
 func (c *SetAssoc) Invalidate(line Line) {
-	s := c.set(line)
+	s, key := c.set(line), line+1
 	for i := range s {
-		if s[i].valid && s[i].tag == line {
-			s[i].valid = false
+		if s[i].key == key {
+			s[i].key = 0
 			return
 		}
 	}

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -88,6 +89,52 @@ func TestInvalidate(t *testing.T) {
 		t.Fatal("line present after invalidate")
 	}
 	c.Invalidate(7) // idempotent
+}
+
+// TestWayEncoding pins the key = line+1 way encoding: line 0 is a real
+// line (not the invalid zero way), invalidation frees the way for
+// re-insertion, and victims are reported as the line originally inserted.
+func TestWayEncoding(t *testing.T) {
+	c := NewSetAssoc(1, 2) // 8 sets x 2 ways
+	sets := uint64(c.Sets())
+	if c.Contains(0) || c.Lookup(0, 0) {
+		t.Fatal("empty cache reports line 0 present")
+	}
+	c.Insert(0, 1)
+	if !c.Contains(0) || !c.Lookup(0, 2) {
+		t.Fatal("line 0 not found after insert")
+	}
+	c.Invalidate(0)
+	if c.Contains(0) {
+		t.Fatal("line 0 present after invalidate")
+	}
+	if _, evicted := c.Insert(0, 3); evicted || !c.Contains(0) {
+		t.Fatalf("re-insert after invalidate: evicted=%v present=%v, want a free way", evicted, c.Contains(0))
+	}
+	c.Insert(sets, 4)
+	c.Lookup(sets, 5) // line 0 is now LRU
+	if victim, evicted := c.Insert(2*sets, 6); !evicted || victim != 0 {
+		t.Fatalf("victim = %d (evicted=%v), want line 0", victim, evicted)
+	}
+	if victim, evicted := c.Insert(3*sets, 7); !evicted || victim != sets {
+		t.Fatalf("victim = %d (evicted=%v), want line %d", victim, evicted, sets)
+	}
+}
+
+func TestCloneIndependent(t *testing.T) {
+	c := NewSetAssoc(1, 2)
+	c.Insert(0, 1)
+	c.Insert(5, 2)
+	n := c.Clone()
+	n.Invalidate(0)
+	n.Insert(9, 3)
+	c.Insert(13, 4)
+	if !c.Contains(0) || c.Contains(9) || !c.Contains(13) {
+		t.Fatal("mutating the clone changed the original")
+	}
+	if n.Contains(0) || !n.Contains(9) || n.Contains(13) || !n.Contains(5) {
+		t.Fatal("mutating the original changed the clone")
+	}
 }
 
 func TestContainsNoLRUEffect(t *testing.T) {
@@ -271,6 +318,24 @@ func TestWarmLLC(t *testing.T) {
 	_, src := h.Demand(77, 0)
 	if src != HitLLC {
 		t.Fatalf("warmed line should be an LLC hit, got %v", src)
+	}
+}
+
+// TestWarmLLCRangeMatchesWarmLLC: warming a line range in place leaves the
+// LLC exactly as WarmLLC over the same lines in the same order, including
+// when the range overflows sets and evicts.
+func TestWarmLLCRangeMatchesWarmLLC(t *testing.T) {
+	a, b := NewHierarchy(testCfg(), 0), NewHierarchy(testCfg(), 0)
+	first := Line(0x400000 / 64)
+	end := first + Line(2*a.llc.Lines())
+	var lines []Line
+	for l := first; l < end; l++ {
+		lines = append(lines, l)
+	}
+	a.WarmLLC(lines)
+	b.WarmLLCRange(first, end)
+	if !reflect.DeepEqual(a.llc, b.llc) {
+		t.Fatal("WarmLLCRange left a different LLC than WarmLLC")
 	}
 }
 

@@ -427,3 +427,11 @@ func (h *Hierarchy) WarmLLC(lines []Line) {
 		h.llc.Insert(l, 0)
 	}
 }
+
+// WarmLLCRange is WarmLLC over the consecutive lines [first, end), inserted
+// in ascending order, without materialising the line list.
+func (h *Hierarchy) WarmLLCRange(first, end Line) {
+	for l := first; l < end; l++ {
+		h.llc.Insert(l, 0)
+	}
+}

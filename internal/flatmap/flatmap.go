@@ -1,8 +1,8 @@
 // Package flatmap provides a small open-addressed hash map from uint64 keys
-// to int32 values, built for the simulator's per-cycle lookup structures
-// (MSHR tags, block-start indices). Unlike the built-in map it performs no
-// allocation on lookup, insert or delete once grown to its steady-state
-// size, and its iteration-free API keeps the hot path branch-predictable.
+// to int32 values, built for the cache hierarchy's per-cycle MSHR tag
+// lookups. Unlike the built-in map it performs no allocation on lookup,
+// insert or delete once grown to its steady-state size, and its
+// iteration-free API keeps the hot path branch-predictable.
 //
 // The table uses linear probing with backward-shift deletion (no
 // tombstones), so probe sequences stay short regardless of churn — exactly

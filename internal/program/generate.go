@@ -2,6 +2,7 @@ package program
 
 import (
 	"fmt"
+	"slices"
 
 	"boomsim/internal/isa"
 	"boomsim/internal/xrand"
@@ -168,10 +169,18 @@ func Generate(p GenParams) (*Image, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
+	// Presize for the expected block count plus 1/8 slack: observed counts
+	// land within a few percent of the estimate, so layout rarely regrows.
+	nBlocks := p.FootprintKB * 1024 / isa.InstrBytes / p.MeanBlockInstrs * 9 / 8
 	g := &generator{
 		p:   p,
 		rng: xrand.New(p.Seed),
-		img: &Image{Base: imageBase, Modules: p.Layers + 1},
+		img: &Image{
+			Base:      imageBase,
+			Modules:   p.Layers + 1,
+			Blocks:    make([]Block, 0, nBlocks),
+			Functions: make([]Function, 0, nBlocks/p.MeanFuncBlocks+1),
+		},
 	}
 	g.layout()
 	g.assignTerminators()
@@ -198,6 +207,8 @@ type generator struct {
 
 	// layerFuncs[l] lists function indices in layer l (layer 0 = root only).
 	layerFuncs [][]int32
+	// layerPos[fi] is function fi's position in its layer's layerFuncs.
+	layerPos []int32
 	// zipf[l] skews callee choice within layer l.
 	zipf []*xrand.Zipf
 }
@@ -222,6 +233,12 @@ func (g *generator) layout() {
 		}
 	}
 
+	g.layerPos = make([]int32, len(g.img.Functions))
+	for _, funcs := range g.layerFuncs {
+		for pos, fi := range funcs {
+			g.layerPos[fi] = int32(pos)
+		}
+	}
 	g.zipf = make([]*xrand.Zipf, g.p.Layers+1)
 	for l := 1; l <= g.p.Layers; l++ {
 		g.zipf[l] = xrand.NewZipf(len(g.layerFuncs[l]), g.p.CalleeZipfTheta)
@@ -354,15 +371,13 @@ func (g *generator) makeCall(s *xrand.Stream, fi int32, layer int, blocks []Bloc
 // pickCallees returns up to n distinct callee entry addresses legal for a
 // caller in the given layer.
 func (g *generator) pickCallees(s *xrand.Stream, fi int32, layer, n int) []isa.Addr {
-	seen := make(map[isa.Addr]bool, n)
-	var out []isa.Addr
+	out := make([]isa.Addr, 0, n)
 	for attempt := 0; attempt < 6*n && len(out) < n; attempt++ {
 		target, ok := g.pickCallee(s, fi, layer)
 		if !ok {
 			break
 		}
-		if !seen[target] {
-			seen[target] = true
+		if !slices.Contains(out, target) {
 			out = append(out, target)
 		}
 	}
@@ -377,8 +392,7 @@ func (g *generator) pickCallee(s *xrand.Stream, fi int32, layer int) (isa.Addr, 
 		funcs := g.layerFuncs[layer]
 		helperStart := len(funcs) * 3 / 4
 		if helperStart < len(funcs) {
-			pos := posInLayer(funcs, fi)
-			if pos >= 0 && pos < helperStart {
+			if int(g.layerPos[fi]) < helperStart {
 				j := funcs[helperStart+s.Intn(len(funcs)-helperStart)]
 				return g.img.Functions[j].Entry, true
 			}
@@ -406,15 +420,6 @@ func (g *generator) pickCallee(s *xrand.Stream, fi int32, layer int) (isa.Addr, 
 		j = funcs[g.zipf[targetLayer].Sample(s)]
 	}
 	return g.img.Functions[j].Entry, true
-}
-
-func posInLayer(funcs []int32, fi int32) int {
-	for i, f := range funcs {
-		if f == fi {
-			return i
-		}
-	}
-	return -1
 }
 
 // makeSwitch emits a switch-style indirect jump over forward blocks.

@@ -13,9 +13,7 @@ package program
 
 import (
 	"fmt"
-	"sort"
 
-	"boomsim/internal/flatmap"
 	"boomsim/internal/isa"
 )
 
@@ -102,72 +100,63 @@ type Image struct {
 	Functions []Function
 	// Modules is the module (software layer) count.
 	Modules int
-	// Base and Limit bound the text segment [Base, Limit).
+	// Base and Limit bound the text segment [Base, Limit). Base is
+	// cache-line aligned; Limit is 16-byte aligned.
 	Base, Limit isa.Addr
 
-	// byStart maps a block start address to its index in Blocks. It is an
-	// open-addressed table rather than a Go map because the oracle walker
-	// consults it once per executed basic block — one of the simulator's
-	// hottest lookups.
-	byStart flatmap.Map
-
-	// lineFirstBlock maps each cache line of the text segment to the index
-	// of the first block whose byte range reaches into or past it (the block
-	// a per-line predecode scan starts from). Precomputing it turns the
-	// binary search at the head of every AppendBranchesInLine /
-	// FirstBranchAtOrAfter call — the hottest predecoder operation — into an
-	// array load.
-	lineFirstBlock []int32
+	// slotBlock is the image's one lookup table. It is indexed by
+	// instruction slot, (pc-Base)/InstrBytes, and holds the index of the
+	// first block with FallThrough() > pc: the block covering the slot, or
+	// the next block when the slot is alignment padding (len(Blocks) past
+	// the last block). Exact-start lookups (the oracle walker's, once per
+	// executed block), containment lookups (the BTB-miss path) and the start
+	// of every per-line predecode scan are each one load plus a check. It
+	// costs 4 B per instruction slot.
+	slotBlock []int32
 }
 
-// buildIndex (re)constructs the exact-start lookup table. Generators call it
-// once after assembling Blocks.
+// buildIndex (re)constructs slotBlock in one sequential pass. Generators
+// call it once after assembling Blocks.
 func (img *Image) buildIndex() {
-	img.byStart = *flatmap.New(len(img.Blocks))
+	img.slotBlock = make([]int32, (img.Limit-img.Base)/isa.InstrBytes)
+	s := 0
 	for i := range img.Blocks {
-		img.byStart.Set(uint64(img.Blocks[i].Addr), int32(i))
-	}
-
-	baseLine := isa.BlockAddr(img.Base)
-	nLines := int((img.Limit - baseLine + isa.BlockBytes - 1) / isa.BlockBytes)
-	img.lineFirstBlock = make([]int32, nLines)
-	bi := 0
-	for li := 0; li < nLines; li++ {
-		line := baseLine + isa.Addr(li)*isa.BlockBytes
-		for bi < len(img.Blocks) && img.Blocks[bi].FallThrough() <= line {
-			bi++
+		end := int((img.Blocks[i].FallThrough() - img.Base) / isa.InstrBytes)
+		for ; s < end; s++ {
+			img.slotBlock[s] = int32(i)
 		}
-		img.lineFirstBlock[li] = int32(bi)
+	}
+	for ; s < len(img.slotBlock); s++ {
+		img.slotBlock[s] = int32(len(img.Blocks))
 	}
 }
 
-// firstBlockForLine returns the index of the first block with
-// FallThrough() > line (line must be cache-line aligned) — identical to the
-// binary search `sort.Search(..., FallThrough() > line)` but O(1) via the
-// precomputed per-line index. Out-of-segment lines resolve the same way the
-// search would: 0 below the text segment, len(Blocks) past it.
-func (img *Image) firstBlockForLine(line isa.Addr) int {
-	baseLine := isa.BlockAddr(img.Base)
-	if line < baseLine {
-		return 0
+// blockFrom returns the index of the first block with FallThrough() > pc,
+// or len(Blocks) when pc lies outside [Base, Limit). (Base is line-aligned,
+// so no predecode scan of a line below it could find a block.) Below Base
+// the unsigned subtraction wraps to a huge slot, so one bounds check covers
+// both ends.
+func (img *Image) blockFrom(pc isa.Addr) int {
+	if s := (pc - img.Base) / isa.InstrBytes; s < uint64(len(img.slotBlock)) {
+		return int(img.slotBlock[s])
 	}
-	li := int((line - baseLine) / isa.BlockBytes)
-	if li >= len(img.lineFirstBlock) {
-		return len(img.Blocks)
-	}
-	return int(img.lineFirstBlock[li])
+	return len(img.Blocks)
 }
 
 // BlockIndex returns the index in Blocks of the block starting exactly at
 // addr. Callers that need per-block side state (e.g. the walker's occurrence
 // counters) key it by this index instead of by address.
 func (img *Image) BlockIndex(addr isa.Addr) (int32, bool) {
-	return img.byStart.Get(uint64(addr))
+	i := img.blockFrom(addr)
+	if i >= len(img.Blocks) || img.Blocks[i].Addr != addr {
+		return 0, false
+	}
+	return int32(i), true
 }
 
 // BlockAt returns the block starting exactly at addr.
 func (img *Image) BlockAt(addr isa.Addr) (*Block, bool) {
-	i, ok := img.byStart.Get(uint64(addr))
+	i, ok := img.BlockIndex(addr)
 	if !ok {
 		return nil, false
 	}
@@ -176,17 +165,11 @@ func (img *Image) BlockAt(addr isa.Addr) (*Block, bool) {
 
 // BlockContaining returns the block whose byte range covers pc.
 func (img *Image) BlockContaining(pc isa.Addr) (*Block, bool) {
-	i := sort.Search(len(img.Blocks), func(i int) bool {
-		return img.Blocks[i].Addr > pc
-	}) - 1
-	if i < 0 {
+	i := img.blockFrom(pc)
+	if i >= len(img.Blocks) || img.Blocks[i].Addr > pc {
 		return nil, false
 	}
-	b := &img.Blocks[i]
-	if pc >= b.Addr && pc < b.FallThrough() {
-		return b, true
-	}
-	return nil, false
+	return &img.Blocks[i], true
 }
 
 // FunctionOf returns the function owning the block.
@@ -219,7 +202,7 @@ func (img *Image) AppendBranchesInLine(dst []PredecodedBranch, lineAddr isa.Addr
 	end := line + isa.BlockBytes
 	// Find the first block that could have a branch in the line: the block
 	// containing the line start, or the first block after it.
-	i := img.firstBlockForLine(line)
+	i := img.blockFrom(line)
 	for ; i < len(img.Blocks); i++ {
 		b := &img.Blocks[i]
 		if b.Addr >= end {
@@ -251,9 +234,8 @@ func (img *Image) BranchesInLine(lineAddr isa.Addr) []PredecodedBranch {
 // branch; if the line holds none at or after pc, the caller probes the next
 // sequential line.
 func (img *Image) FirstBranchAtOrAfter(pc isa.Addr) (PredecodedBranch, bool) {
-	line := isa.BlockAddr(pc)
-	end := line + isa.BlockBytes
-	i := img.firstBlockForLine(line)
+	end := isa.BlockAddr(pc) + isa.BlockBytes
+	i := img.blockFrom(pc)
 	for ; i < len(img.Blocks); i++ {
 		b := &img.Blocks[i]
 		if b.Addr >= end {

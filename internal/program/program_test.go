@@ -341,8 +341,22 @@ func TestBlockGeometryProperty(t *testing.T) {
 	}
 }
 
-func BenchmarkGenerate2MB(b *testing.B) {
+func BenchmarkGenerate2MB(b *testing.B) { benchGenerate(b, DefaultGenParams()) }
+
+// BenchmarkGenerate5MB generates a DB2-shaped image: the largest-but-one
+// built-in footprint, with the shortest blocks and deepest layering.
+func BenchmarkGenerate5MB(b *testing.B) {
 	p := DefaultGenParams()
+	p.FootprintKB = 5120
+	p.Layers = 10
+	p.DispatchFanout = 20
+	p.MeanBlockInstrs = 4
+	p.IndFanout = 6
+	benchGenerate(b, p)
+}
+
+func benchGenerate(b *testing.B, p GenParams) {
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		p.Seed = uint64(i + 1)
 		if _, err := Generate(p); err != nil {

@@ -17,6 +17,7 @@ import (
 	"boomsim/internal/cache"
 	"boomsim/internal/config"
 	"boomsim/internal/frontend"
+	"boomsim/internal/isa"
 	"boomsim/internal/prefetch"
 	"boomsim/internal/program"
 	"boomsim/internal/scheme"
@@ -396,11 +397,8 @@ func runWindow(ctx context.Context, eng windowEngine, target uint64, maxCycles i
 }
 
 func warmLLCWithImage(inst *scheme.Instance, img *program.Image) {
-	lines := make([]cache.Line, 0, (img.Limit-img.Base)/64+1)
-	for addr := img.Base; addr < img.Limit; addr += 64 {
-		lines = append(lines, cache.LineOf(addr))
-	}
-	inst.Hier.WarmLLC(lines)
+	first := cache.LineOf(img.Base)
+	inst.Hier.WarmLLCRange(first, first+(img.Limit-img.Base+isa.BlockBytes-1)/isa.BlockBytes)
 }
 
 // WarmInstance performs everything Run does up to the measurement window —

@@ -37,8 +37,9 @@ import (
 // Like the image cache above it, the arena is bounded LRU with a sync.Once
 // per entry: concurrent runs of the same configuration warm one master
 // between them, and a parameter sweep cannot grow the arena monotonically.
-// Masters are a few MB each (dominated by the LLC tag array), so the bound
-// also caps resident memory (~1 GB worst case). It is sized so a full
+// Masters are about 4.6 MB each at the default 8 MB LLC, 2 MB of it the
+// LLC tag array (131,072 16-byte ways), so the bound also caps resident
+// memory (~1.2 GB worst case, images aside). It is sized so a full
 // 18-scheme x 7-workload matrix (126 entries, the sweep shape the paper's
 // figures and this repo's benchmarks re-run most) stays resident even with
 // dozens of other warmed configurations already in the arena — at a tighter

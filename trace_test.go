@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"regexp"
+	"sync"
 	"testing"
 
 	"boomsim"
@@ -83,6 +84,44 @@ func TestMatrixTraceLocal(t *testing.T) {
 		}
 		if ev.Dur == nil || ev.TS == nil {
 			t.Errorf("cell span missing ts/dur: %+v", ev)
+		}
+	}
+}
+
+// TestWarmObserverOncePerRun pins WithWarmObserver's contract: one callback
+// per Run, whether the simulation runs alone or as a cell of a traced
+// RunMatrix (whose span-recording observer must chain, not double, it).
+func TestWarmObserverOncePerRun(t *testing.T) {
+	var mu sync.Mutex
+	calls := map[string]int{}
+	observe := func(name string) boomsim.Option {
+		return boomsim.WithWarmObserver(func(string) {
+			mu.Lock()
+			calls[name]++
+			mu.Unlock()
+		})
+	}
+
+	s := mustSim(t, boomsim.WithScheme("FDIP"), observe("single"))
+	if _, err := s.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if calls["single"] != 1 {
+		t.Fatalf("one Run gave %d warm callbacks, want 1", calls["single"])
+	}
+
+	var sims []*boomsim.Simulation
+	schemes := []string{"Base", "FDIP", "Boomerang"}
+	for _, sch := range schemes {
+		sims = append(sims, mustSim(t, boomsim.WithScheme(sch), observe(sch)))
+	}
+	if _, err := boomsim.RunMatrix(context.Background(), sims,
+		boomsim.WithMatrixTrace(boomsim.NewTrace()), boomsim.WithParallelism(2)); err != nil {
+		t.Fatal(err)
+	}
+	for _, sch := range schemes {
+		if calls[sch] != 1 {
+			t.Errorf("traced RunMatrix cell %s gave %d warm callbacks, want 1", sch, calls[sch])
 		}
 	}
 }
