@@ -1,192 +1,225 @@
 // Benchmark harness: one benchmark per table/figure of the paper's
-// evaluation. Each benchmark regenerates its figure at a reduced (but
-// shape-preserving) scale per iteration and reports the figure's headline
-// quantity as a custom metric, so `go test -bench=.` both exercises the full
-// pipeline and prints the reproduced numbers.
+// evaluation. Each figure benchmark runs its checked-in experiment spec
+// (testdata/experiments/) through RunExperiment, narrowed in code to bench
+// scale, and reports the figure's headline quantity as a custom metric, so
+// `go test -bench=.` both exercises the full pipeline and prints the
+// reproduced numbers.
 //
-// The full-methodology tables (all six workloads at full footprint) are
-// produced by `go run ./cmd/experiments -run all`; see EXPERIMENTS.md for
-// the recorded paper-vs-measured comparison.
+// The specs themselves are the full figures: `go run ./cmd/boomctl
+// experiment testdata/experiments/<spec>.json` regenerates one with its
+// criteria and confidence intervals; see EXPERIMENTS.md for the recorded
+// paper-vs-measured comparison.
 package boomsim_test
 
 import (
 	"context"
+	"path/filepath"
 	"testing"
 	"time"
 
 	"boomsim"
-	"boomsim/internal/experiments"
 	"boomsim/internal/frontend"
 	"boomsim/internal/scheme"
 	"boomsim/internal/sim"
 	"boomsim/internal/workload"
 )
 
-// benchParams returns bench-scale experiment parameters: two contrasting
-// workloads (a web front end and the BTB-heavy OLTP), reduced footprints.
-func benchParams() experiments.Params {
-	apache, _ := workload.ByName("Apache")
-	db2, _ := workload.ByName("DB2")
-	p := experiments.Full()
-	p.Workloads = []workload.Profile{apache, db2}
-	p.FootprintKB = 768
-	p.WarmInstrs = 150_000
-	p.MeasureInstrs = 500_000
-	return p
+// benchWorkloads are the two contrasting bench-scale workloads: a web front
+// end and the BTB-heavy OLTP.
+var benchWorkloads = []string{"Apache", "DB2"}
+
+// benchExperiment runs the named checked-in spec at bench scale: the two
+// bench workloads at a 768KB footprint, 150K warm + 500K measured
+// instructions, seed 1. narrow may further restrict the spec (for example
+// to one LLC latency) before it runs. Verdicts are not the benchmark's
+// concern.
+func benchExperiment(b *testing.B, name string, narrow func(*boomsim.ExperimentSpec)) *boomsim.ExperimentReport {
+	b.Helper()
+	spec, err := boomsim.LoadExperimentSpec(filepath.Join(experimentsDir, name+".json"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	spec.Workloads = benchWorkloads
+	spec.Seeds = []uint64{1}
+	spec.Window = &boomsim.ExperimentWindow{Warm: 150_000, Measure: 500_000}
+	matrix := boomsim.ExperimentMatrix{}
+	if spec.Matrix != nil {
+		matrix = *spec.Matrix
+	}
+	matrix.FootprintKB = []int{768}
+	spec.Matrix = &matrix
+	if narrow != nil {
+		narrow(&spec)
+	}
+	r, err := boomsim.RunExperiment(context.Background(), spec, boomsim.WithExperimentTimestamp(""))
+	if err != nil {
+		b.Fatal(err)
+	}
+	return r
+}
+
+// atLLC narrows a spec's LLC-latency axis to one point.
+func atLLC(cycles int) func(*boomsim.ExperimentSpec) {
+	return func(s *boomsim.ExperimentSpec) { s.Matrix.LLCLatency = []int{cycles} }
+}
+
+// benchAvg is a metric's mean over the bench workloads for one scheme — the
+// "Avg" row of the paper's figures. The report runs one matrix point.
+func benchAvg(b *testing.B, r *boomsim.ExperimentReport, scheme, metric string) float64 {
+	b.Helper()
+	var sum float64
+	for _, wl := range benchWorkloads {
+		sum += reportMean(b, r, scheme, wl, 0, metric)
+	}
+	return sum / float64(len(benchWorkloads))
 }
 
 // BenchmarkFig1_Opportunity regenerates Figure 1: the speedup available from
 // a perfect L1-I and from adding a perfect BTB (paper: +11-47% and +6-40%).
 func BenchmarkFig1_Opportunity(b *testing.B) {
-	p := benchParams()
 	for i := 0; i < b.N; i++ {
-		t, err := experiments.Fig1(p)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(t.Get("Avg", "Perfect L1-I"), "perfectL1I_speedup")
-		b.ReportMetric(t.Get("Avg", "Perfect L1-I + BTB"), "perfectCF_speedup")
+		r := benchExperiment(b, "fig1-opportunity", nil)
+		b.ReportMetric(benchAvg(b, r, "Perfect L1-I", "speedup"), "perfectL1I_speedup")
+		b.ReportMetric(benchAvg(b, r, "Perfect L1-I + BTB", "speedup"), "perfectCF_speedup")
 	}
 }
 
-// BenchmarkFig2_PredictorSweep regenerates Figure 2: FDIP coverage under
-// TAGE / bimodal / never-taken vs PIF (paper: FDIP+TAGE tracks PIF; even
-// never-taken retains much of the coverage).
+// BenchmarkFig2_PredictorSweep regenerates Figure 2 at a 30-cycle LLC:
+// FDIP coverage under TAGE / bimodal / never-taken vs PIF (paper:
+// FDIP+TAGE tracks PIF; even never-taken retains much of the coverage).
 func BenchmarkFig2_PredictorSweep(b *testing.B) {
-	p := benchParams()
 	for i := 0; i < b.N; i++ {
-		t, err := experiments.Fig2(p, []int{10, 30, 50})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(t.Get("LLC=30", "FDIP TAGE"), "fdip_tage_cov")
-		b.ReportMetric(t.Get("LLC=30", "PIF"), "pif_cov")
-		b.ReportMetric(t.Get("LLC=30", "FDIP Never-Taken"), "fdip_nt_cov")
+		r := benchExperiment(b, "fig2-predictor", atLLC(30))
+		b.ReportMetric(benchAvg(b, r, "FDIP", "coverage"), "fdip_tage_cov")
+		b.ReportMetric(benchAvg(b, r, "PIF", "coverage"), "pif_cov")
+		b.ReportMetric(benchAvg(b, r, "FDIP Never-Taken", "coverage"), "fdip_nt_cov")
 	}
 }
 
 // BenchmarkFig3_MissBreakdown regenerates Figure 3: the miss-cycle
 // breakdown (paper: sequential misses are 40-54% of the baseline's total).
 func BenchmarkFig3_MissBreakdown(b *testing.B) {
-	p := benchParams()
 	for i := 0; i < b.N; i++ {
-		t, err := experiments.Fig3(p)
-		if err != nil {
-			b.Fatal(err)
+		r := benchExperiment(b, "fig3-miss-breakdown", nil)
+		// pct averages, over the bench workloads, scheme's stall cycles of
+		// the given classes per instruction as a percentage of Base's.
+		pct := func(scheme string, classes ...string) float64 {
+			var sum float64
+			for _, wl := range benchWorkloads {
+				for _, class := range classes {
+					sum += stallShare(b, r, scheme, wl, class)
+				}
+			}
+			return 100 * sum / float64(len(benchWorkloads))
 		}
-		b.ReportMetric(t.Get("Base 2KBTB", "Sequential%"), "base_seq_pct")
-		b.ReportMetric(t.Get("FDIP 2KBTB", "Total%"), "fdip2k_total_pct")
-		b.ReportMetric(t.Get("FDIP 32KBTB", "Total%"), "fdip32k_total_pct")
+		b.ReportMetric(pct("Base", "stall_cycles_sequential"), "base_seq_pct")
+		all := []string{"stall_cycles_sequential", "stall_cycles_conditional", "stall_cycles_unconditional"}
+		b.ReportMetric(pct("FDIP", all...), "fdip2k_total_pct")
+		b.ReportMetric(pct("FDIP 32KBTB", all...), "fdip32k_total_pct")
 	}
 }
 
 // BenchmarkFig4_BranchDistance regenerates Figure 4: the taken-conditional
-// branch distance CDF (paper: ~92% within 4 cache blocks).
+// branch distance CDF (paper: ~92% within 4 cache blocks). Figure 4 is a
+// property of the code images and their walks, not of any scheme, so it
+// measures the walker directly (the CDF `boomtrace -dynamic` prints).
 func BenchmarkFig4_BranchDistance(b *testing.B) {
-	p := benchParams()
 	for i := 0; i < b.N; i++ {
-		t, err := experiments.Fig4(p, 300_000)
-		if err != nil {
-			b.Fatal(err)
+		var sum float64
+		for _, name := range benchWorkloads {
+			w, _ := workload.ByName(name)
+			w.Gen.FootprintKB = 768
+			img, err := w.Image(1)
+			if err != nil {
+				b.Fatal(err)
+			}
+			st := workload.Measure(workload.NewWalker(img, 1), 300_000, 9)
+			sum += workload.CDF(st.TakenCondDist)[4]
 		}
-		b.ReportMetric(t.Get("Avg", "4"), "cdf_at_4_blocks")
+		b.ReportMetric(sum/float64(len(benchWorkloads)), "cdf_at_4_blocks")
 	}
 }
 
 // BenchmarkFig5_BTBSweep regenerates Figure 5: FDIP coverage vs BTB size
 // (paper: 32K -> 2K loses ~12 points of coverage).
 func BenchmarkFig5_BTBSweep(b *testing.B) {
-	p := benchParams()
 	for i := 0; i < b.N; i++ {
-		t, err := experiments.Fig5(p, []int{30}, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(t.Get("LLC=30", "BTB2K"), "btb2k_cov")
-		b.ReportMetric(t.Get("LLC=30", "BTB32K"), "btb32k_cov")
+		r := benchExperiment(b, "fig5-btb-size", atLLC(30))
+		b.ReportMetric(benchAvg(b, r, "FDIP", "coverage"), "btb2k_cov")
+		b.ReportMetric(benchAvg(b, r, "FDIP 32KBTB", "coverage"), "btb32k_cov")
 	}
 }
 
 // BenchmarkFig7_Squashes regenerates Figure 7: squashes per kilo-instruction
 // (paper: Boomerang and Confluence eliminate >85% of BTB-miss squashes).
 func BenchmarkFig7_Squashes(b *testing.B) {
-	p := benchParams()
 	for i := 0; i < b.N; i++ {
-		f7, _, _, err := experiments.Figures789(p)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(f7.Get("FDIP (BTB miss)", "Avg"), "fdip_btbmiss_ki")
-		b.ReportMetric(f7.Get("Boomerang (BTB miss)", "Avg"), "boomerang_btbmiss_ki")
-		b.ReportMetric(f7.Get("Confluence (BTB miss)", "Avg"), "confluence_btbmiss_ki")
+		r := benchExperiment(b, "fig7-squashes", atLLC(30))
+		b.ReportMetric(benchAvg(b, r, "FDIP", "btb_miss_squashes_per_ki"), "fdip_btbmiss_ki")
+		b.ReportMetric(benchAvg(b, r, "Boomerang", "btb_miss_squashes_per_ki"), "boomerang_btbmiss_ki")
+		b.ReportMetric(benchAvg(b, r, "Confluence", "btb_miss_squashes_per_ki"), "confluence_btbmiss_ki")
 	}
 }
 
-// BenchmarkFig8_Coverage regenerates Figure 8: front-end stall cycle
-// coverage (paper: Boomerang 61% ~ Confluence 60% on average).
+// BenchmarkFig8_Coverage regenerates Figure 8 from the Figures 7-9 lineup
+// spec: front-end stall cycle coverage (paper: Boomerang 61% ~ Confluence
+// 60% on average).
 func BenchmarkFig8_Coverage(b *testing.B) {
-	p := benchParams()
 	for i := 0; i < b.N; i++ {
-		_, f8, _, err := experiments.Figures789(p)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(f8.Get("Boomerang", "Avg"), "boomerang_cov")
-		b.ReportMetric(f8.Get("Confluence", "Avg"), "confluence_cov")
-		b.ReportMetric(f8.Get("FDIP", "Avg"), "fdip_cov")
+		r := benchExperiment(b, "fig7-squashes", atLLC(30))
+		b.ReportMetric(benchAvg(b, r, "Boomerang", "coverage"), "boomerang_cov")
+		b.ReportMetric(benchAvg(b, r, "Confluence", "coverage"), "confluence_cov")
+		b.ReportMetric(benchAvg(b, r, "FDIP", "coverage"), "fdip_cov")
 	}
 }
 
-// BenchmarkFig9_Speedup regenerates Figure 9: speedup over the no-prefetch
-// baseline (paper: Boomerang 1.28x average, ~1% over Confluence).
+// BenchmarkFig9_Speedup regenerates Figure 9 from the Figures 7-9 lineup
+// spec: speedup over the no-prefetch baseline (paper: Boomerang 1.28x
+// average, ~1% over Confluence).
 func BenchmarkFig9_Speedup(b *testing.B) {
-	p := benchParams()
 	for i := 0; i < b.N; i++ {
-		_, _, f9, err := experiments.Figures789(p)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(f9.Get("Boomerang", "Avg"), "boomerang_speedup")
-		b.ReportMetric(f9.Get("Confluence", "Avg"), "confluence_speedup")
-		b.ReportMetric(f9.Get("FDIP", "Avg"), "fdip_speedup")
+		r := benchExperiment(b, "fig7-squashes", atLLC(30))
+		b.ReportMetric(benchAvg(b, r, "Boomerang", "speedup"), "boomerang_speedup")
+		b.ReportMetric(benchAvg(b, r, "Confluence", "speedup"), "confluence_speedup")
+		b.ReportMetric(benchAvg(b, r, "FDIP", "speedup"), "fdip_speedup")
 	}
 }
 
 // BenchmarkFig10_Throttle regenerates Figure 10: Boomerang's next-N-block
 // sensitivity (paper: next-2 is the best average; DB2 gains ~12%).
 func BenchmarkFig10_Throttle(b *testing.B) {
-	p := benchParams()
 	for i := 0; i < b.N; i++ {
-		t, err := experiments.Fig10(p, []int{0, 2, 8})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(t.Get("Avg", "None"), "throttle0_speedup")
-		b.ReportMetric(t.Get("Avg", "2 Blocks"), "throttle2_speedup")
+		r := benchExperiment(b, "fig10-throttle", nil)
+		b.ReportMetric(benchAvg(b, r, "Boomerang-N0", "speedup"), "throttle0_speedup")
+		b.ReportMetric(benchAvg(b, r, "Boomerang", "speedup"), "throttle2_speedup")
 	}
 }
 
-// BenchmarkFig11_LowLatency regenerates Figure 11: the lineup at the
-// crossbar's 18-cycle LLC round trip (paper: same ordering, smaller gains).
+// BenchmarkFig11_LowLatency regenerates Figure 11 from the lineup spec's
+// crossbar point: the schemes at an 18-cycle LLC round trip (paper: same
+// ordering, smaller gains).
 func BenchmarkFig11_LowLatency(b *testing.B) {
-	p := benchParams()
 	for i := 0; i < b.N; i++ {
-		t, err := experiments.Fig11(p, 18)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(t.Get("Avg", "Boomerang"), "boomerang_speedup_18c")
-		b.ReportMetric(t.Get("Avg", "Confluence"), "confluence_speedup_18c")
+		r := benchExperiment(b, "fig7-squashes", atLLC(18))
+		b.ReportMetric(benchAvg(b, r, "Boomerang", "speedup"), "boomerang_speedup_18c")
+		b.ReportMetric(benchAvg(b, r, "Confluence", "speedup"), "confluence_speedup_18c")
 	}
 }
 
-// BenchmarkStorage_Costs regenerates the Section VI-D storage comparison
-// (paper: Boomerang 540 bytes vs 200KB+ for temporal streaming).
+// BenchmarkStorage_Costs reports the Section VI-D storage comparison from
+// the registry's declarative accounting (paper: Boomerang 540 bytes vs
+// 200KB+ for temporal streaming).
 func BenchmarkStorage_Costs(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		t := experiments.StorageTable()
-		b.ReportMetric(t.Get("Boomerang", "KB"), "boomerang_kb")
-		b.ReportMetric(t.Get("PIF", "KB"), "pif_kb")
+		for _, c := range []struct{ scheme, metric string }{
+			{"Boomerang", "boomerang_kb"}, {"PIF", "pif_kb"},
+		} {
+			info, err := boomsim.LookupScheme(c.scheme)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportMetric(info.StorageOverheadKB, c.metric)
+		}
 	}
 }
 
@@ -304,32 +337,17 @@ func benchStallHeavy(b *testing.B, skip bool) {
 	}
 }
 
-// The full sweep grid: every built-in scheme crossed with every built-in
-// workload. The names are pinned here (rather than read from Schemes() /
-// Workloads()) so the grid stays exactly 18x7 even when tests in the same
-// binary register extra schemes before the benchmarks run.
-var (
-	benchMatrixSchemes = []string{
-		"Base", "Next Line", "DIP", "FDIP", "SHIFT", "Confluence", "Boomerang",
-		"PIF", "Perfect L1-I", "Perfect L1-I + BTB", "2-Level BTB", "PhantomBTB",
-		"Boomerang-Unthrottled",
-		"Boomerang-N0", "Boomerang-N1", "Boomerang-N2", "Boomerang-N4", "Boomerang-N8",
-	}
-	benchMatrixWorkloads = []string{
-		"Nutch", "Streaming", "Apache", "Zeus", "Oracle", "DB2", "SPEC-like",
-	}
-)
-
 // benchMatrixParallelism fixes the matrix worker count so matrix_ms is
 // comparable across runs regardless of the host's GOMAXPROCS.
 const benchMatrixParallelism = 8
 
-// matrix18x7Sims builds the full 126-cell grid through the public API at
-// bench scale (reduced footprint and window, default seeds).
+// matrix18x7Sims builds the full 126-cell grid of built-in schemes and
+// workloads through the public API at bench scale (reduced footprint and
+// window, default seeds).
 func matrix18x7Sims(b *testing.B, reuse bool) []*boomsim.Simulation {
-	sims := make([]*boomsim.Simulation, 0, len(benchMatrixSchemes)*len(benchMatrixWorkloads))
-	for _, w := range benchMatrixWorkloads {
-		for _, s := range benchMatrixSchemes {
+	sims := make([]*boomsim.Simulation, 0, len(builtinSchemes)*len(builtinWorkloads))
+	for _, w := range builtinWorkloads {
+		for _, s := range builtinSchemes {
 			sm, err := boomsim.New(
 				boomsim.WithScheme(s),
 				boomsim.WithWorkload(w),

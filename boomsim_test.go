@@ -294,6 +294,32 @@ func TestRunCMP(t *testing.T) {
 		res.PerCore[0].FetchStallCycles == res.PerCore[1].FetchStallCycles {
 		t.Errorf("both cores identical; distinct walk seeds should diverge")
 	}
+
+	// The chip-level claim: on 4 Zeus cores Boomerang's aggregate
+	// throughput beats the baseline's, and clears one instruction/cycle.
+	throughput := func(scheme string) float64 {
+		s, err := boomsim.New(
+			boomsim.WithScheme(scheme),
+			boomsim.WithWorkload("Zeus"),
+			boomsim.WithFootprintKB(256),
+			boomsim.WithWindow(30_000, 100_000),
+		)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := s.RunCMP(context.Background(), 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Throughput
+	}
+	base, boom := throughput("Base"), throughput("Boomerang")
+	if base <= 0 || boom <= base {
+		t.Errorf("4-core Zeus throughput: Base %v, Boomerang %v", base, boom)
+	}
+	if boom < 1 {
+		t.Errorf("4-core Boomerang throughput %v implausibly low", boom)
+	}
 }
 
 func matrixSims(t *testing.T) []*boomsim.Simulation {

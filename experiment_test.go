@@ -261,13 +261,15 @@ func TestExperimentCoverageMatchesSimulator(t *testing.T) {
 	}
 }
 
-// Smoke-run the two cheapest checked-in paper claims end to end and
-// require their verdicts to hold. The full set runs in the dedicated CI
-// experiment job via boomctl; this keeps `go test ./...` self-contained.
+// Run every checked-in spec end to end and require its verdict to be PASS,
+// then apply the spec's paper-figure checks (paper_figures_test.go) — the
+// claims the criterion grammar cannot state. This is tier-1's check of
+// every figure; CI's experiment job runs the same specs through boomctl.
 func TestExperimentPaperClaimsSmoke(t *testing.T) {
-	for _, name := range []string{"table3-storage.json", "fig9-coverage.json"} {
+	for _, path := range specPaths(t) {
+		name := filepath.Base(path)
 		t.Run(name, func(t *testing.T) {
-			spec, err := boomsim.LoadExperimentSpec(filepath.Join(experimentsDir, name))
+			spec, err := boomsim.LoadExperimentSpec(path)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -281,6 +283,9 @@ func TestExperimentPaperClaimsSmoke(t *testing.T) {
 				for _, cr := range report.Criteria {
 					t.Logf("  [%s] %s", cr.Verdict, cr.Criterion.Name)
 				}
+			}
+			if check := paperFigureChecks[spec.Name]; check != nil {
+				check(t, report)
 			}
 		})
 	}

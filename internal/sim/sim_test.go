@@ -199,18 +199,6 @@ func TestRunCMP(t *testing.T) {
 	}
 }
 
-func TestSchemeByNameComplete(t *testing.T) {
-	for _, name := range []string{"Base", "Next Line", "DIP", "FDIP", "PIF", "SHIFT",
-		"Confluence", "Boomerang", "Perfect L1-I", "Perfect L1-I + BTB"} {
-		if _, ok := scheme.ByName(name); !ok {
-			t.Errorf("scheme %q not found", name)
-		}
-	}
-	if _, ok := scheme.ByName("nonsense"); ok {
-		t.Error("bogus scheme name resolved")
-	}
-}
-
 func TestBoomerangStorageTiny(t *testing.T) {
 	// Section VI-D: Boomerang's overhead is 540 bytes; Confluence's SHIFT
 	// machinery alone is two orders of magnitude bigger in aggregate.

@@ -253,15 +253,38 @@ func TestMeasureBasics(t *testing.T) {
 func TestTakenCondDistanceShape(t *testing.T) {
 	// Figure 4 property: the overwhelming majority of taken conditional
 	// branches land within 4 cache blocks of the branch.
-	img := testImage(t, 17)
-	w := NewWalker(img, 19)
-	st := Measure(w, 300000, 9)
-	cdf := CDF(st.TakenCondDist)
-	if st.TakenConds == 0 {
-		t.Fatal("no taken conditionals")
-	}
-	if cdf[4] < 0.85 {
-		t.Errorf("taken-cond distance CDF at 4 blocks = %.3f, want >= 0.85 (paper: ~0.92)", cdf[4])
+	t.Run("generic", func(t *testing.T) {
+		img := testImage(t, 17)
+		w := NewWalker(img, 19)
+		st := Measure(w, 300000, 9)
+		cdf := CDF(st.TakenCondDist)
+		if st.TakenConds == 0 {
+			t.Fatal("no taken conditionals")
+		}
+		if cdf[4] < 0.85 {
+			t.Errorf("taken-cond distance CDF at 4 blocks = %.3f, want >= 0.85 (paper: ~0.92)", cdf[4])
+		}
+	})
+	// The Table II profiles at a reduced footprint, as Figure 4 plots them.
+	for _, name := range []string{"Apache", "DB2"} {
+		t.Run(name, func(t *testing.T) {
+			p, ok := ByName(name)
+			if !ok {
+				t.Fatalf("unknown workload %s", name)
+			}
+			p.Gen.FootprintKB = 256
+			img, err := p.Image(1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cdf := CDF(Measure(NewWalker(img, 1), 200_000, 9).TakenCondDist)
+			if cdf[4] < 0.8 {
+				t.Errorf("CDF(4 blocks) = %.3f, paper says ~0.92", cdf[4])
+			}
+			if last := cdf[len(cdf)-1]; last < 0.999 {
+				t.Errorf("CDF must reach 1, got %v", last)
+			}
+		})
 	}
 }
 

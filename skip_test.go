@@ -56,14 +56,14 @@ func TestSkipIdentityAllSchemes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full scheme×workload sweep")
 	}
-	for _, sc := range boomsim.Schemes() {
-		for _, wl := range boomsim.Workloads() {
+	for _, sc := range builtinSchemes {
+		for _, wl := range builtinWorkloads {
 			sc, wl := sc, wl
-			t.Run(sc.Name+"/"+wl.Name, func(t *testing.T) {
+			t.Run(sc+"/"+wl, func(t *testing.T) {
 				t.Parallel()
 				on, off := runPair(t,
-					boomsim.WithScheme(sc.Name),
-					boomsim.WithWorkload(wl.Name),
+					boomsim.WithScheme(sc),
+					boomsim.WithWorkload(wl),
 					boomsim.WithFootprintKB(48),
 					boomsim.WithWindow(2_000, 8_000),
 				)
@@ -145,14 +145,11 @@ func FuzzSkipIdentity(f *testing.F) {
 	f.Add(uint64(0xdeadbeef), uint8(17), uint8(1), uint8(64), int64(1))
 	f.Add(uint64(7), uint8(255), uint8(6), uint8(31), int64(4096))
 
-	schemes := boomsim.Schemes()
-	workloads := boomsim.Workloads()
-
 	f.Fuzz(func(t *testing.T, seed uint64, schemePick, wlPick, skew uint8, flightEvery int64) {
 		rng := rand.New(rand.NewSource(int64(seed)))
 		opts := []boomsim.Option{
-			boomsim.WithScheme(schemes[int(schemePick)%len(schemes)].Name),
-			boomsim.WithWorkload(workloads[int(wlPick)%len(workloads)].Name),
+			boomsim.WithScheme(builtinSchemes[int(schemePick)%len(builtinSchemes)]),
+			boomsim.WithWorkload(builtinWorkloads[int(wlPick)%len(builtinWorkloads)]),
 			boomsim.WithFootprintKB(16 + rng.Intn(112)),
 			boomsim.WithWindow(uint64(rng.Intn(3000)), 1_000+uint64(rng.Intn(9_000))),
 			boomsim.WithSeeds(seed%16+uint64(skew), seed%16),
