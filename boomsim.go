@@ -98,10 +98,10 @@ func New(opts ...Option) (*Simulation, error) {
 		// Inline declarative scheme: already validated by WithSchemeConfig.
 		s.scheme = *s.schemeCfg
 		s.schemeName = s.schemeCfg.Name
-	} else if s.scheme, err = schemeByName(s.schemeName); err != nil {
+	} else if s.scheme, err = schemes.lookup(s.schemeName); err != nil {
 		return nil, err
 	}
-	if s.workload, err = workloadByName(s.workloadName); err != nil {
+	if s.workload, err = workloads.lookup(s.workloadName); err != nil {
 		return nil, err
 	}
 	if s.footprintKB > 0 {

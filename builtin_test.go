@@ -9,9 +9,10 @@ import (
 // builtinSchemes and builtinWorkloads pin the 18 built-in schemes and the 7
 // built-in workloads in registration order. Sweeps over "every built-in"
 // iterate these lists, never Schemes()/Workloads(): the registry is
-// process-global, so entries other tests register (the registry race test
-// adds hundreds) would otherwise change what a sweep runs, and how long it
-// takes, with the test order.
+// process-global, so an entry another test registers would otherwise
+// change what a sweep runs with the test order. (TestRegisterSchemeAndWorkload
+// adds one scheme and one workload.) The registry's init registers
+// scheme.Builtins().
 var (
 	builtinSchemes = []string{
 		"Base", "Next Line", "DIP", "FDIP", "SHIFT", "Confluence", "Boomerang",

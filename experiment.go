@@ -59,11 +59,11 @@ const (
 func experimentEnv() exp.Env {
 	return exp.Env{
 		HasScheme: func(name string) bool {
-			_, err := schemeByName(name)
+			_, err := schemes.lookup(name)
 			return err == nil
 		},
 		HasWorkload: func(name string) bool {
-			_, err := workloadByName(name)
+			_, err := workloads.lookup(name)
 			return err == nil
 		},
 		HasMetric: func(name string) bool {

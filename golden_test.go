@@ -36,15 +36,25 @@ var goldenWorkloads = []string{"Apache", "DB2", "SPEC-like"}
 // goldenCell is the reduced-scale methodology every corpus entry runs:
 // small enough that the full scheme lineup stays in CI budgets, large
 // enough that every counter in Result is exercised.
-func goldenCell(scheme, workload string) (*boomsim.Simulation, error) {
+func goldenCell(scheme, workload string, skip bool) (*boomsim.Simulation, error) {
 	return boomsim.New(
 		boomsim.WithScheme(scheme),
 		boomsim.WithWorkload(workload),
 		boomsim.WithFootprintKB(64),
 		boomsim.WithWindow(5_000, 20_000),
 		boomsim.WithSeeds(7, 11),
+		boomsim.WithCycleSkip(skip),
 	)
 }
+
+// goldenSkipArms runs every corpus cell with event-horizon cycle skipping
+// on and off: skipping must be byte-invisible, so both arms are compared
+// to the same files, and the per-cycle control loop is checked on every
+// test run. -update writes from the skipping arm.
+var goldenSkipArms = []struct {
+	name string
+	on   bool
+}{{"skip on", true}, {"skip off", false}}
 
 func goldenFile(scheme, workload string) string {
 	sanitize := func(s string) string {
@@ -69,46 +79,51 @@ func TestGoldenStats(t *testing.T) {
 	visited := map[string]bool{}
 	for _, sc := range builtinSchemes {
 		for _, wl := range goldenWorkloads {
-			sc, wl := sc, wl
-			path := goldenFile(sc, wl)
-			visited[filepath.Base(path)] = true
-			t.Run(fmt.Sprintf("%s on %s", sc, wl), func(t *testing.T) {
-				t.Parallel()
-				s, err := goldenCell(sc, wl)
-				if err != nil {
-					t.Fatal(err)
+			for _, arm := range goldenSkipArms {
+				sc, wl, arm := sc, wl, arm
+				if *updateGolden && !arm.on {
+					continue
 				}
-				r, err := s.Run(context.Background())
-				if err != nil {
-					t.Fatal(err)
-				}
-				// The headline corpus predates the per-component registry and
-				// stays byte-frozen across the config-plane refactor — the
-				// proof that schemes-as-data is behavior-preserving. The
-				// registry itself is pinned by TestGoldenRegistryStats.
-				headline := r
-				headline.Stats = nil
-				got, err := json.MarshalIndent(headline, "", "  ")
-				if err != nil {
-					t.Fatal(err)
-				}
-				got = append(got, '\n')
-
-				if *updateGolden {
-					if err := os.WriteFile(path, got, 0o644); err != nil {
+				path := goldenFile(sc, wl)
+				visited[filepath.Base(path)] = true
+				t.Run(fmt.Sprintf("%s on %s, %s", sc, wl, arm.name), func(t *testing.T) {
+					t.Parallel()
+					s, err := goldenCell(sc, wl, arm.on)
+					if err != nil {
 						t.Fatal(err)
 					}
-					return
-				}
-				want, err := os.ReadFile(path)
-				if err != nil {
-					t.Fatalf("no golden file for this cell (run with -update to create it): %v", err)
-				}
-				if !bytes.Equal(got, want) {
-					t.Errorf("stats drifted from the golden corpus:\n%s\nregenerate with -update if the change is intentional",
-						goldenDiff(t, want, got))
-				}
-			})
+					r, err := s.Run(context.Background())
+					if err != nil {
+						t.Fatal(err)
+					}
+					// The headline corpus predates the per-component registry and
+					// stays byte-frozen across the config-plane refactor — the
+					// proof that schemes-as-data is behavior-preserving. The
+					// registry itself is pinned by TestGoldenRegistryStats.
+					headline := r
+					headline.Stats = nil
+					got, err := json.MarshalIndent(headline, "", "  ")
+					if err != nil {
+						t.Fatal(err)
+					}
+					got = append(got, '\n')
+
+					if *updateGolden {
+						if err := os.WriteFile(path, got, 0o644); err != nil {
+							t.Fatal(err)
+						}
+						return
+					}
+					want, err := os.ReadFile(path)
+					if err != nil {
+						t.Fatalf("no golden file for this cell (run with -update to create it): %v", err)
+					}
+					if !bytes.Equal(got, want) {
+						t.Errorf("stats drifted from the golden corpus:\n%s\nregenerate with -update if the change is intentional",
+							goldenDiff(t, want, got))
+					}
+				})
+			}
 		}
 	}
 
@@ -144,44 +159,49 @@ func TestGoldenRegistryStats(t *testing.T) {
 	}
 	visited := map[string]bool{}
 	for _, sc := range boomsim.DefaultSchemes() {
-		sc := sc
-		path := goldenFile(sc, "Apache")
-		path = filepath.Join(goldenRegistryDir, filepath.Base(path))
-		visited[filepath.Base(path)] = true
-		t.Run(sc, func(t *testing.T) {
-			t.Parallel()
-			s, err := goldenCell(sc, "Apache")
-			if err != nil {
-				t.Fatal(err)
+		for _, arm := range goldenSkipArms {
+			sc, arm := sc, arm
+			if *updateGolden && !arm.on {
+				continue
 			}
-			r, err := s.Run(context.Background())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(r.Stats) == 0 {
-				t.Fatal("run produced no per-component registry stats")
-			}
-			got, err := json.MarshalIndent(r.Stats, "", "  ")
-			if err != nil {
-				t.Fatal(err)
-			}
-			got = append(got, '\n')
-
-			if *updateGolden {
-				if err := os.WriteFile(path, got, 0o644); err != nil {
+			path := goldenFile(sc, "Apache")
+			path = filepath.Join(goldenRegistryDir, filepath.Base(path))
+			visited[filepath.Base(path)] = true
+			t.Run(sc+", "+arm.name, func(t *testing.T) {
+				t.Parallel()
+				s, err := goldenCell(sc, "Apache", arm.on)
+				if err != nil {
 					t.Fatal(err)
 				}
-				return
-			}
-			want, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatalf("no registry golden for this scheme (run with -update to create it): %v", err)
-			}
-			if !bytes.Equal(got, want) {
-				t.Errorf("per-component stats drifted from the golden corpus:\n%s\nregenerate with -update if the change is intentional",
-					goldenDiff(t, want, got))
-			}
-		})
+				r, err := s.Run(context.Background())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(r.Stats) == 0 {
+					t.Fatal("run produced no per-component registry stats")
+				}
+				got, err := json.MarshalIndent(r.Stats, "", "  ")
+				if err != nil {
+					t.Fatal(err)
+				}
+				got = append(got, '\n')
+
+				if *updateGolden {
+					if err := os.WriteFile(path, got, 0o644); err != nil {
+						t.Fatal(err)
+					}
+					return
+				}
+				want, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatalf("no registry golden for this scheme (run with -update to create it): %v", err)
+				}
+				if !bytes.Equal(got, want) {
+					t.Errorf("per-component stats drifted from the golden corpus:\n%s\nregenerate with -update if the change is intentional",
+						goldenDiff(t, want, got))
+				}
+			})
+		}
 	}
 	if !*updateGolden {
 		entries, err := os.ReadDir(goldenRegistryDir)

@@ -2,6 +2,7 @@ package statkit
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -84,5 +85,27 @@ func TestSummarize(t *testing.T) {
 	zero := Summarize(nil)
 	if zero != (Summary{}) {
 		t.Errorf("empty summary = %+v, want zero value", zero)
+	}
+}
+
+// TestCI95Coverage checks the interval empirically: the 95% CI of samples
+// drawn from a known distribution should contain the true mean about 95%
+// of the time.
+func TestCI95Coverage(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	const trueMean, trials, n = 0.5, 400, 20
+	contained := 0
+	for trial := 0; trial < trials; trial++ {
+		xs := make([]float64, n)
+		for i := range xs {
+			xs[i] = rng.Float64()
+		}
+		if s := Summarize(xs); s.CI95Lo <= trueMean && trueMean <= s.CI95Hi {
+			contained++
+		}
+	}
+	frac := float64(contained) / trials
+	if frac < 0.90 || frac > 0.99 {
+		t.Fatalf("CI95 coverage %.3f, want ~0.95", frac)
 	}
 }

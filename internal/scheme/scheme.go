@@ -253,3 +253,17 @@ func (p *PerfectBTB) Handle(pc isa.Addr, now int64) (btb.Entry, int64, bool) {
 func All() []Config {
 	return []Config{Base(), NextLine(), DIP(), FDIP(), SHIFT(), Confluence(), Boomerang()}
 }
+
+// Builtins returns every built-in configuration in registration order: the
+// headline lineup, PIF, the limit studies of Figure 1, the hierarchical-BTB
+// alternatives of Section II-C, and the miss-policy variants with Figure
+// 10's throttle sweep.
+func Builtins() []Config {
+	out := append(All(), PIF(), PerfectL1I(), PerfectCF(), TwoLevelBTB(), PhantomBTBScheme(), BoomerangUnthrottled())
+	for _, n := range []int{0, 1, 2, 4, 8} {
+		s := BoomerangThrottled(n)
+		s.Name = fmt.Sprintf("Boomerang-N%d", n) // the default N is otherwise named plain "Boomerang"
+		out = append(out, s)
+	}
+	return out
+}

@@ -33,6 +33,7 @@ import (
 	"time"
 
 	"boomsim"
+	"boomsim/internal/memo"
 	"boomsim/internal/store"
 	"boomsim/internal/wire"
 )
@@ -114,7 +115,7 @@ type Server struct {
 	baseCtx context.Context
 	stop    context.CancelFunc
 	sem     chan struct{}
-	cache   *resultCache
+	cache   *memo.Memo[boomsim.Result] // results are pure functions of their key, so entries never expire
 	store   *store.Store
 	flights *flightGroup
 	m       metrics
@@ -137,7 +138,7 @@ func New(cfg Config) *Server {
 		baseCtx: ctx,
 		stop:    cancel,
 		sem:     make(chan struct{}, cfg.Workers),
-		cache:   newResultCache(cfg.CacheEntries),
+		cache:   memo.New[boomsim.Result](cfg.CacheEntries),
 		store:   cfg.Store,
 	}
 	s.flights = newFlightGroup(func() { s.m.flightShared.Add(1) })
@@ -348,8 +349,8 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 // be decoded into a Result (version skew) is treated as a miss and will be
 // recomputed and overwritten.
 func (s *Server) cacheGet(key string) (boomsim.Result, bool) {
-	if v, ok := s.cache.Get(key); ok {
-		return v.(boomsim.Result), true
+	if r, ok := s.cache.Get(key); ok {
+		return r, true
 	}
 	if s.store == nil {
 		return boomsim.Result{}, false

@@ -482,31 +482,6 @@ func TestRequestValidation(t *testing.T) {
 	}
 }
 
-// TestLRUCacheEviction pins the cache's bound and recency behaviour without
-// going through HTTP.
-func TestLRUCacheEviction(t *testing.T) {
-	c := newResultCache(2)
-	c.Add("a", 1)
-	c.Add("b", 2)
-	if _, ok := c.Get("a"); !ok { // touch: a is now most recent
-		t.Fatal("a missing")
-	}
-	c.Add("c", 3) // evicts b, the least recently used
-	if _, ok := c.Get("b"); ok {
-		t.Errorf("b survived eviction; LRU order not respected")
-	}
-	if _, ok := c.Get("a"); !ok {
-		t.Errorf("recently-used a was evicted")
-	}
-	if c.Len() != 2 {
-		t.Errorf("cache len %d, want 2", c.Len())
-	}
-	c.Add("c", 33) // update in place, no growth
-	if v, _ := c.Get("c"); v != 33 || c.Len() != 2 {
-		t.Errorf("update in place failed: v=%v len=%d", v, c.Len())
-	}
-}
-
 // TestFlightGroupRefcountCancel pins the singleflight cancellation
 // contract directly: the flight context dies only when the last waiter
 // leaves or the base context fires.

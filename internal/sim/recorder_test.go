@@ -2,6 +2,7 @@ package sim
 
 import (
 	"context"
+	"reflect"
 	"testing"
 
 	"boomsim/internal/scheme"
@@ -114,23 +115,24 @@ func TestFlightRecorderDoesNotPerturbRun(t *testing.T) {
 	requireResultsEqual(t, "recorded vs plain", plain, recorded)
 }
 
-// TestFlightRecorderOnWarmHook pins the warm-source observation: a fresh
-// warm reports "fresh", a warm-arena fork reports "fork".
+// TestFlightRecorderOnWarmHook pins the warm-source observation on a
+// private arena: a run with reuse off and the run that warms the arena's
+// master report "fresh", a later run forking that master reports "fork",
+// and all three record the same results.
 func TestFlightRecorderOnWarmHook(t *testing.T) {
+	ctx := context.Background()
+	m := newMemos()
 	spec := fastSpec(scheme.Base(), fastProfile("Zeus"))
+	spec.FlightEvery = 5_000
 	spec.ReuseWarm = false
-	var src string
-	if _, err := RunContext(context.Background(), spec, Hooks{OnWarm: func(s string) { src = s }}); err != nil {
-		t.Fatal(err)
-	}
-	if src != "fresh" {
-		t.Fatalf("non-reuse run reported warm source %q, want fresh", src)
-	}
+	off := runObserved(ctx, t, m, spec, "fresh")
 	spec.ReuseWarm = true
-	if _, err := RunContext(context.Background(), spec, Hooks{OnWarm: func(s string) { src = s }}); err != nil {
-		t.Fatal(err)
-	}
-	if src != "fork" {
-		t.Fatalf("reuse run reported warm source %q, want fork", src)
+	first := runObserved(ctx, t, m, spec, "fresh")
+	second := runObserved(ctx, t, m, spec, "fork")
+	for label, r := range map[string]Result{"first reuse": first, "second reuse": second} {
+		requireResultsEqual(t, label+" vs reuse off", r, off)
+		if !reflect.DeepEqual(r.Epochs, off.Epochs) {
+			t.Fatalf("%s: flight-recorder epochs differ from reuse off", label)
+		}
 	}
 }

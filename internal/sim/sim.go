@@ -7,28 +7,22 @@
 package sim
 
 import (
-	"container/list"
 	"context"
 	"errors"
 	"fmt"
-	"os"
 	"sync"
 
 	"boomsim/internal/cache"
 	"boomsim/internal/config"
 	"boomsim/internal/frontend"
 	"boomsim/internal/isa"
+	"boomsim/internal/memo"
 	"boomsim/internal/prefetch"
 	"boomsim/internal/program"
 	"boomsim/internal/scheme"
 	"boomsim/internal/stats"
 	"boomsim/internal/workload"
 )
-
-// envNoSkip disables event-horizon cycle skipping process-wide, equivalent
-// to DisableCycleSkip on every Spec. CI's golden control leg sets it to
-// prove the shipped per-cycle loop still reproduces the corpus bytes.
-var envNoSkip = os.Getenv("BOOMSIM_NO_SKIP") == "1"
 
 // Spec describes one simulation.
 type Spec struct {
@@ -107,58 +101,40 @@ type Result struct {
 	Epochs []frontend.Epoch
 }
 
-// The image cache memoises generated images: experiments run many schemes
-// over the same workload and image generation is the expensive part. Each
-// entry carries a sync.Once so concurrent runs of the same (workload, seed)
-// — the common case under the parallel experiment runner — generate the
-// image exactly once instead of racing to do duplicate work.
-//
-// The cache is bounded (LRU): long-running services expose the key's
-// parameters (footprint, image seed) to clients, and an unbounded cache of
-// multi-megabyte images would grow monotonically under a parameter sweep.
-// An evicted-while-generating entry still completes for the runs holding
-// it; it is simply not shared afterwards.
-const imageCacheEntries = 32
-
-var (
-	imageMu    sync.Mutex
-	imageLRU   = list.New() // front = most recently used; values are *imageCacheEntry
-	imageIndex = map[string]*list.Element{}
-)
-
-type imageCacheEntry struct {
-	key  string
-	once sync.Once
-	img  *program.Image
-	err  error
+// memos is the state runs share within a process: generated images and the
+// warm arena's masters (see warm.go). RunContext and WarmInstance use the
+// process-wide value; tests build their own to observe a cold arena.
+type memos struct {
+	images  *memo.Memo[*program.Image]
+	masters *memo.Memo[*scheme.Instance]
 }
 
-func imageFor(p workload.Profile, seed uint64) (*program.Image, error) {
+func newMemos() *memos {
+	return &memos{
+		images:  memo.New[*program.Image](imageCacheEntries),
+		masters: memo.New[*scheme.Instance](warmArenaEntries),
+	}
+}
+
+var processMemos = newMemos()
+
+// The image cache memoises generated images: experiments run many schemes
+// over the same workload and image generation is the expensive part.
+// Concurrent runs of the same (workload, seed) — the common case under the
+// parallel experiment runner — generate the image once between them.
+//
+// The cache is bounded: long-running services expose the key's parameters
+// (footprint, image seed) to clients, and an unbounded cache of
+// multi-megabyte images would grow monotonically under a parameter sweep.
+const imageCacheEntries = 32
+
+func (m *memos) imageFor(p workload.Profile, seed uint64) (*program.Image, error) {
 	// The key covers the full generator parameterisation, not just the
 	// profile name: public-API callers can override the footprint (or
 	// register same-named variants), and those must not share an image.
 	key := fmt.Sprintf("%s/%d/%+v", p.Name, seed, p.Gen)
-	imageMu.Lock()
-	var e *imageCacheEntry
-	if el, ok := imageIndex[key]; ok {
-		imageLRU.MoveToFront(el)
-		e = el.Value.(*imageCacheEntry)
-	} else {
-		e = &imageCacheEntry{key: key}
-		imageIndex[key] = imageLRU.PushFront(e)
-		for imageLRU.Len() > imageCacheEntries {
-			oldest := imageLRU.Back()
-			imageLRU.Remove(oldest)
-			delete(imageIndex, oldest.Value.(*imageCacheEntry).key)
-		}
-	}
-	imageMu.Unlock()
-	// Generation runs outside the lock; the Once makes concurrent callers
-	// of the same entry share one generation.
-	e.once.Do(func() {
-		e.img, e.err = p.Image(seed)
-	})
-	return e.img, e.err
+	img, _, err := m.images.Do(key, func() (*program.Image, error) { return p.Image(seed) })
+	return img, err
 }
 
 // Hooks customises a context-aware run. The zero value means "no
@@ -174,9 +150,11 @@ type Hooks struct {
 	// simulating goroutine; keep it cheap.
 	Progress func(done, total uint64)
 	// OnWarm, if non-nil, is called once when the warmed instance is
-	// resolved, with "fork" (served from the warm arena) or "fresh" (warmed
-	// privately). It exists for observability — trace spans record how a
-	// cell's warm state was obtained — and runs on the simulating goroutine.
+	// resolved, with "fork" (this run forked a warm-arena master another
+	// run warmed) or "fresh" (this run simulated the warm window itself,
+	// privately or as the arena's new master). It exists for observability
+	// — trace spans record how a cell's warm state was obtained — and runs
+	// on the simulating goroutine.
 	OnWarm func(source string)
 }
 
@@ -194,6 +172,10 @@ func Run(spec Spec) (Result, error) {
 // simulation loop checks ctx every Hooks.ProgressEvery retired instructions
 // (warmup and measurement alike) and returns ctx's error if it fired.
 func RunContext(ctx context.Context, spec Spec, h Hooks) (Result, error) {
+	return processMemos.run(ctx, spec, h)
+}
+
+func (m *memos) run(ctx context.Context, spec Spec, h Hooks) (Result, error) {
 	if spec.Cfg == (config.Core{}) {
 		spec.Cfg = config.Default()
 	}
@@ -214,24 +196,9 @@ func RunContext(ctx context.Context, spec Spec, h Hooks) (Result, error) {
 		chunk = DefaultProgressEvery
 	}
 
-	var inst *scheme.Instance
-	if spec.ReuseWarm {
-		f, err, ok := forkWarm(ctx, spec, chunk)
-		if err != nil {
-			return Result{}, err
-		}
-		if ok {
-			inst = f
-		}
-	}
-	warmSource := "fork"
-	if inst == nil {
-		var err error
-		inst, err = buildWarm(ctx, spec, chunk)
-		if err != nil {
-			return Result{}, err
-		}
-		warmSource = "fresh"
+	inst, warmSource, err := m.warm(ctx, spec, chunk)
+	if err != nil {
+		return Result{}, err
 	}
 	if h.OnWarm != nil {
 		h.OnWarm(warmSource)
@@ -256,8 +223,8 @@ func RunContext(ctx context.Context, spec Spec, h Hooks) (Result, error) {
 // generation, scheme construction, LLC preload, the warm window and the
 // stats reset. It is both RunContext's non-shared path and the builder the
 // warm arena memoises masters with.
-func buildWarm(ctx context.Context, spec Spec, chunk uint64) (*scheme.Instance, error) {
-	img, err := imageFor(spec.Workload, spec.ImageSeed)
+func (m *memos) buildWarm(ctx context.Context, spec Spec, chunk uint64) (*scheme.Instance, error) {
+	img, err := m.imageFor(spec.Workload, spec.ImageSeed)
 	if err != nil {
 		return nil, err
 	}
@@ -268,9 +235,8 @@ func buildWarm(ctx context.Context, spec Spec, chunk uint64) (*scheme.Instance, 
 		Predictor: spec.Predictor,
 	})
 	// Applied before the warm window so warm and measurement run the same
-	// loop; BOOMSIM_NO_SKIP=1 disables skipping process-wide (the CI golden
-	// control leg uses it to exercise the per-cycle loop end to end).
-	inst.Engine.SetCycleSkip(!spec.DisableCycleSkip && !envNoSkip)
+	// loop.
+	inst.Engine.SetCycleSkip(!spec.DisableCycleSkip)
 	// The paper measures from SMARTS checkpoints with warmed caches: all 16
 	// cores run the same binary, so its text is LLC-resident. Preload it.
 	warmLLCWithImage(inst, img)
@@ -416,7 +382,7 @@ func WarmInstance(spec Spec) (*scheme.Instance, error) {
 	if err := spec.Scheme.Validate(); err != nil {
 		return nil, err
 	}
-	return buildWarm(context.Background(), spec, 0)
+	return processMemos.buildWarm(context.Background(), spec, 0)
 }
 
 // MustRun is Run for tests and examples with known-good specs.

@@ -147,11 +147,12 @@ func TestPredictorOverride(t *testing.T) {
 
 func TestImageCacheReuse(t *testing.T) {
 	w := fastProfile("Zeus")
-	img1, err := imageFor(w, 3)
+	m := newMemos()
+	img1, err := m.imageFor(w, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	img2, err := imageFor(w, 3)
+	img2, err := m.imageFor(w, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +160,7 @@ func TestImageCacheReuse(t *testing.T) {
 		t.Fatal("image cache returned distinct images for the same key")
 	}
 	var img3 *program.Image
-	if img3, err = imageFor(w, 4); err != nil {
+	if img3, err = m.imageFor(w, 4); err != nil {
 		t.Fatal(err)
 	}
 	if img3 == img1 {

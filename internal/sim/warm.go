@@ -1,11 +1,9 @@
 package sim
 
 import (
-	"container/list"
 	"context"
 	"encoding/json"
 	"fmt"
-	"sync"
 
 	"boomsim/internal/scheme"
 )
@@ -34,9 +32,9 @@ import (
 // addresses. MeasureInstrs and MaxCycles are deliberately excluded: they
 // only shape the measurement window, so sweeps over them share one master.
 //
-// Like the image cache above it, the arena is bounded LRU with a sync.Once
-// per entry: concurrent runs of the same configuration warm one master
-// between them, and a parameter sweep cannot grow the arena monotonically.
+// Like the image cache, the arena is a bounded memo (internal/memo):
+// concurrent runs of the same configuration warm one master between them,
+// and a parameter sweep cannot grow the arena monotonically.
 // Masters are about 4.6 MB each at the default 8 MB LLC, 2 MB of it the
 // LLC tag array (131,072 16-byte ways), so the bound also caps resident
 // memory (~1.2 GB worst case, images aside). It is sized so a full
@@ -46,19 +44,6 @@ import (
 // bound a process mixing a full matrix with other sweeps evicts matrix
 // masters mid-sweep and rebuilds them every pass.
 const warmArenaEntries = 256
-
-var (
-	warmMu    sync.Mutex
-	warmLRU   = list.New() // front = most recently used; values are *warmArenaEntry
-	warmIndex = map[string]*list.Element{}
-)
-
-type warmArenaEntry struct {
-	key  string
-	once sync.Once
-	inst *scheme.Instance
-	err  error
-}
 
 // warmKeyOf projects spec onto its warm-relevant parameters. ok is false
 // when the scheme config cannot be serialised (no such built-in exists, but
@@ -75,61 +60,42 @@ func warmKeyOf(spec Spec) (key string, ok bool) {
 	return fmt.Sprintf("scheme=%s|workload=%s/%d/%+v|walk=%d|pred=%q|core=%+v|warm=%d|noskip=%t",
 		cfg, spec.Workload.Name, spec.ImageSeed, spec.Workload.Gen,
 		spec.WalkSeed, spec.Predictor, spec.Cfg, spec.WarmInstrs,
-		spec.DisableCycleSkip || envNoSkip), true
+		spec.DisableCycleSkip), true
 }
 
-// forkWarm returns a private fork of the memoised warmed instance for spec.
-// ok reports whether the arena could serve the request; on ok == false (key
-// not derivable, shared warm failed for a reason other than the caller's own
-// context, or a component was not clonable) the caller falls back to
-// building a private instance. A non-nil err is returned only for the
-// caller's own cancellation.
-func forkWarm(ctx context.Context, spec Spec, chunk uint64) (*scheme.Instance, error, bool) {
-	key, keyed := warmKeyOf(spec)
-	if !keyed {
-		return nil, nil, false
-	}
-	warmMu.Lock()
-	var e *warmArenaEntry
-	if el, hit := warmIndex[key]; hit {
-		warmLRU.MoveToFront(el)
-		e = el.Value.(*warmArenaEntry)
-	} else {
-		e = &warmArenaEntry{key: key}
-		warmIndex[key] = warmLRU.PushFront(e)
-		for warmLRU.Len() > warmArenaEntries {
-			oldest := warmLRU.Back()
-			warmLRU.Remove(oldest)
-			delete(warmIndex, oldest.Value.(*warmArenaEntry).key)
+// warm resolves spec's warmed instance and reports how it was obtained:
+// "fork" when it forked a master another run warmed, "fresh" when this run
+// simulated the warm window itself, privately or as the arena's new master.
+// The arena is skipped when reuse is off or the key is not derivable, and
+// the run falls back to a private warm when the shared warm failed for a
+// reason other than the caller's own cancellation (it reproduces the error,
+// or succeeds if it was transient) or a component was not clonable.
+func (m *memos) warm(ctx context.Context, spec Spec, chunk uint64) (*scheme.Instance, string, error) {
+	if spec.ReuseWarm {
+		if key, ok := warmKeyOf(spec); ok {
+			master, hit, err := m.masters.Do(key, func() (*scheme.Instance, error) {
+				return m.buildWarm(ctx, spec, chunk)
+			})
+			// A failure may be another caller's cancellation, which must not
+			// poison the configuration for everyone: the memo has dropped
+			// the entry so future runs retry, and this run retries
+			// privately unless it was canceled itself.
+			if err != nil && ctx.Err() != nil {
+				return nil, "", ctx.Err()
+			}
+			// The master is immutable once warmed, so concurrent forks are
+			// safe, and it never advances: every run, the first included,
+			// measures a fork.
+			if err == nil {
+				if c := master.Clone(); c != nil {
+					if hit {
+						return c, "fork", nil
+					}
+					return c, "fresh", nil
+				}
+			}
 		}
 	}
-	warmMu.Unlock()
-	// Warming runs outside the lock; the Once makes concurrent runs of the
-	// same configuration share one master. An evicted-while-warming entry
-	// still completes for the runs holding it.
-	e.once.Do(func() {
-		e.inst, e.err = buildWarm(ctx, spec, chunk)
-	})
-	if e.err != nil {
-		// The failure may be another caller's cancellation, which must not
-		// poison the configuration for everyone: drop the entry so future
-		// runs retry. Our own cancellation surfaces directly; anything else
-		// falls back to the private path, which reproduces the error (or
-		// succeeds if it was transient).
-		warmMu.Lock()
-		if el, hit := warmIndex[key]; hit && el.Value.(*warmArenaEntry) == e {
-			warmLRU.Remove(el)
-			delete(warmIndex, key)
-		}
-		warmMu.Unlock()
-		if err := ctx.Err(); err != nil {
-			return nil, err, true
-		}
-		return nil, nil, false
-	}
-	// The master is immutable once warmed, so concurrent forks are safe.
-	if c := e.inst.Clone(); c != nil {
-		return c, nil, true
-	}
-	return nil, nil, false
+	inst, err := m.buildWarm(ctx, spec, chunk)
+	return inst, "fresh", err
 }

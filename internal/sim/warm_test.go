@@ -35,18 +35,19 @@ func requireResultsEqual(t *testing.T, label string, a, b Result) {
 	}
 }
 
-// builtinSchemes is every built-in configuration: the seven figure schemes,
-// the limit studies, PIF, the hierarchical-BTB alternatives, and the
-// throttle variants — the same set the public registry exposes.
-func builtinSchemes() []scheme.Config {
-	out := append(scheme.All(), scheme.PIF(), scheme.PerfectL1I(), scheme.PerfectCF(),
-		scheme.TwoLevelBTB(), scheme.PhantomBTBScheme(), scheme.BoomerangUnthrottled())
-	for _, n := range []int{0, 1, 4, 8} {
-		s := scheme.BoomerangThrottled(n)
-		s.Name = fmt.Sprintf("Boomerang-N%d", n)
-		out = append(out, s)
+// runObserved runs spec on m and fails unless the run reports wantSource as
+// its warm source.
+func runObserved(ctx context.Context, t *testing.T, m *memos, spec Spec, wantSource string) Result {
+	t.Helper()
+	var src string
+	r, err := m.run(ctx, spec, Hooks{OnWarm: func(s string) { src = s }})
+	if err != nil {
+		t.Fatal(err)
 	}
-	return out
+	if src != wantSource {
+		t.Fatalf("reuse=%t run reported warm source %q, want %q", spec.ReuseWarm, src, wantSource)
+	}
+	return r
 }
 
 // TestWarmMeasureBoundary pins the invariant the snapshot plane relies on:
@@ -77,7 +78,7 @@ func TestWarmMeasureBoundary(t *testing.T) {
 // identically to the first).
 func TestForkMatchesFreshWarm(t *testing.T) {
 	w := fastProfile("DB2")
-	for _, s := range builtinSchemes() {
+	for _, s := range scheme.Builtins() {
 		s := s
 		t.Run(s.Name, func(t *testing.T) {
 			spec := fastSpec(s, w)
@@ -117,34 +118,25 @@ func TestForkMatchesFreshWarm(t *testing.T) {
 
 // TestRunContextWarmReuse pins that RunContext with reuse on — both the
 // arena-miss (build master, measure a fork) and arena-hit (measure a fork of
-// the cached master) paths — matches reuse off exactly.
+// the cached master) paths, told apart by their warm source on a private
+// arena — matches reuse off exactly.
 func TestRunContextWarmReuse(t *testing.T) {
+	ctx := context.Background()
+	m := newMemos()
 	spec := fastSpec(scheme.Boomerang(), fastProfile("Zeus"))
 	spec.ReuseWarm = false
-	off, err := RunContext(context.Background(), spec, Hooks{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	off := runObserved(ctx, t, m, spec, "fresh")
 	spec.ReuseWarm = true
-	miss, err := RunContext(context.Background(), spec, Hooks{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	hit, err := RunContext(context.Background(), spec, Hooks{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	miss := runObserved(ctx, t, m, spec, "fresh")
+	hit := runObserved(ctx, t, m, spec, "fork")
 	requireResultsEqual(t, "arena miss vs reuse off", miss, off)
 	requireResultsEqual(t, "arena hit vs reuse off", hit, off)
 
 	// Chunked execution (a cancellable ctx forces chunking) must not change
 	// results either way.
-	ctx, cancel := context.WithCancel(context.Background())
+	cctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	chunked, err := RunContext(ctx, spec, Hooks{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	chunked := runObserved(cctx, t, m, spec, "fork")
 	requireResultsEqual(t, "chunked arena hit vs reuse off", chunked, off)
 }
 

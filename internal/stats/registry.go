@@ -1,3 +1,5 @@
+// Package stats provides the measurement plane's registry: the named
+// per-component counters every simulated component publishes into.
 package stats
 
 import (

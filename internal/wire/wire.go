@@ -85,7 +85,8 @@ type JobResult struct {
 
 	// SimNanos is the worker-side wall time actually spent simulating this
 	// job (0 on a cache hit) and Warm how its warmed state was obtained
-	// ("fork" from the warm arena, "fresh", "" when not simulated) — the
+	// ("fork" of a warm-arena master another run warmed, "fresh" when the
+	// job simulated the warm window itself, "" when not simulated) — the
 	// facts a coordinator's trace needs to attribute a cell's latency.
 	SimNanos int64  `json:"sim_nanos,omitempty"`
 	Warm     string `json:"warm,omitempty"`

@@ -190,10 +190,12 @@ func WithFlightRecorder(everyCycles int64) Option {
 }
 
 // WithWarmObserver installs a callback invoked once per Run with how the
-// warmed state was obtained: "fork" (served from the process-wide warm
-// arena) or "fresh" (warmed privately). Purely observational — trace spans
-// use it to record warm-arena hits — so, like WithProgress, it does not
-// participate in Key. The callback runs on the simulating goroutine.
+// warmed state was obtained: "fork" (the run forked a master that another
+// run had warmed into the process-wide warm arena) or "fresh" (the run
+// simulated the warm window itself, whether privately or as the arena's
+// new master). Purely observational — trace spans use it to record
+// warm-arena hits — so, like WithProgress, it does not participate in Key.
+// The callback runs on the simulating goroutine.
 func WithWarmObserver(fn func(source string)) Option {
 	return func(s *Simulation) error {
 		if fn == nil {

@@ -55,14 +55,63 @@ func toWorkloadInfo(p workload.Profile) WorkloadInfo {
 	}
 }
 
-// The registries are string-keyed and guarded by one mutex: registration is
-// rare (init time, test setup), lookup is per-New.
+// registry is a name-keyed table that remembers registration order.
+// Registration is rare (init time, test setup), lookup is per-New.
+type registry[T any] struct {
+	kind    string // "scheme" or "workload", for error text
+	unknown error  // the sentinel a lookup miss wraps
+	mu      sync.RWMutex
+	byName  map[string]T
+	order   []string
+}
+
+func newRegistry[T any](kind string, unknown error) *registry[T] {
+	return &registry[T]{kind: kind, unknown: unknown, byName: map[string]T{}}
+}
+
+// add registers v under name; an empty or already-taken name is an error.
+func (r *registry[T]) add(name string, v T) error {
+	if name == "" {
+		return fmt.Errorf("%w: %s with empty name", ErrInvalidOption, r.kind)
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if _, dup := r.byName[name]; dup {
+		return fmt.Errorf("%w: %s %q already registered", ErrInvalidOption, r.kind, name)
+	}
+	r.byName[name] = v
+	r.order = append(r.order, name)
+	return nil
+}
+
+// list returns every entry in registration order.
+func (r *registry[T]) list() []T {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	out := make([]T, len(r.order))
+	for i, name := range r.order {
+		out[i] = r.byName[name]
+	}
+	return out
+}
+
+// lookup returns the named entry, or an error wrapping r.unknown that lists
+// the registered names.
+func (r *registry[T]) lookup(name string) (T, error) {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	v, ok := r.byName[name]
+	if !ok {
+		names := append([]string(nil), r.order...)
+		sort.Strings(names)
+		return v, fmt.Errorf("%w: %q (have: %s)", r.unknown, name, strings.Join(names, ", "))
+	}
+	return v, nil
+}
+
 var (
-	regMu         sync.RWMutex
-	schemeReg     = map[string]scheme.Scheme{}
-	schemeOrder   []string
-	workloadReg   = map[string]workload.Profile{}
-	workloadOrder []string
+	schemes   = newRegistry[scheme.Scheme]("scheme", ErrUnknownScheme)
+	workloads = newRegistry[workload.Profile]("workload", ErrUnknownWorkload)
 )
 
 // RegisterScheme adds a scheme config to the registry under its Name.
@@ -75,41 +124,23 @@ func RegisterScheme(s SchemeConfig) error {
 	if err := s.Validate(); err != nil {
 		return fmt.Errorf("%w: %v", ErrInvalidOption, err)
 	}
-	regMu.Lock()
-	defer regMu.Unlock()
-	if _, dup := schemeReg[s.Name]; dup {
-		return fmt.Errorf("%w: scheme %q already registered", ErrInvalidOption, s.Name)
-	}
-	schemeReg[s.Name] = s
-	schemeOrder = append(schemeOrder, s.Name)
-	return nil
+	return schemes.add(s.Name, s)
 }
 
 // RegisterWorkload adds a workload profile to the registry under p.Name,
 // making it addressable from WithWorkload and Workloads(). Registering an
 // empty or already-taken name is an error.
 func RegisterWorkload(p workload.Profile) error {
-	if p.Name == "" {
-		return fmt.Errorf("%w: workload with empty name", ErrInvalidOption)
-	}
-	regMu.Lock()
-	defer regMu.Unlock()
-	if _, dup := workloadReg[p.Name]; dup {
-		return fmt.Errorf("%w: workload %q already registered", ErrInvalidOption, p.Name)
-	}
-	workloadReg[p.Name] = p
-	workloadOrder = append(workloadOrder, p.Name)
-	return nil
+	return workloads.add(p.Name, p)
 }
 
 // Schemes lists every registered scheme in registration order (the paper's
 // presentation order first, then extensions).
 func Schemes() []SchemeInfo {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	out := make([]SchemeInfo, 0, len(schemeOrder))
-	for _, name := range schemeOrder {
-		out = append(out, toSchemeInfo(schemeReg[name]))
+	all := schemes.list()
+	out := make([]SchemeInfo, len(all))
+	for i, s := range all {
+		out[i] = toSchemeInfo(s)
 	}
 	return out
 }
@@ -117,11 +148,10 @@ func Schemes() []SchemeInfo {
 // Workloads lists every registered workload in registration order (Table II
 // order first, then extensions).
 func Workloads() []WorkloadInfo {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	out := make([]WorkloadInfo, 0, len(workloadOrder))
-	for _, name := range workloadOrder {
-		out = append(out, toWorkloadInfo(workloadReg[name]))
+	all := workloads.list()
+	out := make([]WorkloadInfo, len(all))
+	for i, p := range all {
+		out[i] = toWorkloadInfo(p)
 	}
 	return out
 }
@@ -139,7 +169,7 @@ func DefaultSchemes() []string {
 
 // LookupScheme returns the named scheme's metadata, or ErrUnknownScheme.
 func LookupScheme(name string) (SchemeInfo, error) {
-	s, err := schemeByName(name)
+	s, err := schemes.lookup(name)
 	if err != nil {
 		return SchemeInfo{}, err
 	}
@@ -149,7 +179,7 @@ func LookupScheme(name string) (SchemeInfo, error) {
 // LookupWorkload returns the named workload's metadata, or
 // ErrUnknownWorkload.
 func LookupWorkload(name string) (WorkloadInfo, error) {
-	p, err := workloadByName(name)
+	p, err := workloads.lookup(name)
 	if err != nil {
 		return WorkloadInfo{}, err
 	}
@@ -161,39 +191,11 @@ func LookupWorkload(name string) (WorkloadInfo, error) {
 // (trace recording, walker statistics) while still resolving workloads
 // through the public registry.
 func BuildImage(workloadName string, imageSeed uint64) (*program.Image, error) {
-	p, err := workloadByName(workloadName)
+	p, err := workloads.lookup(workloadName)
 	if err != nil {
 		return nil, err
 	}
 	return p.Image(imageSeed)
-}
-
-func schemeByName(name string) (scheme.Scheme, error) {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	s, ok := schemeReg[name]
-	if !ok {
-		return scheme.Scheme{}, fmt.Errorf("%w: %q (have: %s)",
-			ErrUnknownScheme, name, strings.Join(sortedNames(schemeOrder), ", "))
-	}
-	return s, nil
-}
-
-func workloadByName(name string) (workload.Profile, error) {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	p, ok := workloadReg[name]
-	if !ok {
-		return workload.Profile{}, fmt.Errorf("%w: %q (have: %s)",
-			ErrUnknownWorkload, name, strings.Join(sortedNames(workloadOrder), ", "))
-	}
-	return p, nil
-}
-
-func sortedNames(names []string) []string {
-	out := append([]string(nil), names...)
-	sort.Strings(out)
-	return out
 }
 
 func mustRegister(err error) {
@@ -207,18 +209,7 @@ func mustRegister(err error) {
 // the hierarchical-BTB alternatives of Section II-C, the miss-policy
 // variants, and the Table II workloads plus the SPEC-like contrast profile.
 func init() {
-	for _, s := range scheme.All() { // Base, Next Line, DIP, FDIP, SHIFT, Confluence, Boomerang
-		mustRegister(RegisterScheme(s))
-	}
-	mustRegister(RegisterScheme(scheme.PIF()))
-	mustRegister(RegisterScheme(scheme.PerfectL1I()))
-	mustRegister(RegisterScheme(scheme.PerfectCF()))
-	mustRegister(RegisterScheme(scheme.TwoLevelBTB()))
-	mustRegister(RegisterScheme(scheme.PhantomBTBScheme()))
-	mustRegister(RegisterScheme(scheme.BoomerangUnthrottled()))
-	for _, n := range []int{0, 1, 2, 4, 8} { // Figure 10's throttle sweep
-		s := scheme.BoomerangThrottled(n)
-		s.Name = fmt.Sprintf("Boomerang-N%d", n) // the default N is otherwise named plain "Boomerang"
+	for _, s := range scheme.Builtins() {
 		mustRegister(RegisterScheme(s))
 	}
 

@@ -1,4 +1,4 @@
-package boomsim_test
+package boomsim
 
 import (
 	"errors"
@@ -6,23 +6,27 @@ import (
 	"sync"
 	"testing"
 
-	"boomsim"
 	"boomsim/internal/scheme"
 	"boomsim/internal/workload"
 )
 
-// TestRegistryConcurrentRegisterAndLookup hammers the process-global
-// registries from many goroutines at once — the access pattern boomsimd
-// makes routine, with /v1/schemes listings, per-request lookups and
-// (in principle) runtime registrations interleaving freely. Run under
-// -race this pins the RWMutex discipline in registry.go: any unguarded
-// read or write trips the detector.
-//
-// Registered names carry the "Test" prefix so the golden corpus skips
-// them, and registration tolerates duplicates so the test is idempotent
-// under -count.
+// TestRegistryConcurrentRegisterAndLookup hammers a private registry pair
+// from many goroutines at once — the access pattern boomsimd makes routine,
+// with /v1/schemes listings, per-request lookups and (in principle) runtime
+// registrations interleaving freely. Run under -race this pins the RWMutex
+// discipline of registry: any unguarded read or write trips the detector.
+// The registries are private so the process-global ones, and every other
+// test's view of them, stay exactly the built-ins.
 func TestRegistryConcurrentRegisterAndLookup(t *testing.T) {
 	const writers, readers, perWriter = 8, 8, 25
+	schemes := newRegistry[scheme.Scheme]("scheme", ErrUnknownScheme)
+	workloads := newRegistry[workload.Profile]("workload", ErrUnknownWorkload)
+	if err := schemes.add("Boomerang", scheme.Boomerang()); err != nil {
+		t.Fatal(err)
+	}
+	if err := workloads.add("SPEC-like", workload.SPECLike()); err != nil {
+		t.Fatal(err)
+	}
 
 	var wg sync.WaitGroup
 	for w := 0; w < writers; w++ {
@@ -31,16 +35,14 @@ func TestRegistryConcurrentRegisterAndLookup(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perWriter; i++ {
 				s := scheme.Base()
-				s.Name = fmt.Sprintf("TestRaceScheme-%d-%d", w, i)
-				if err := boomsim.RegisterScheme(s); err != nil && !errors.Is(err, boomsim.ErrInvalidOption) {
-					t.Errorf("RegisterScheme: %v", err)
+				s.Name = fmt.Sprintf("RaceScheme-%d-%d", w, i)
+				if err := schemes.add(s.Name, s); err != nil {
+					t.Errorf("add scheme: %v", err)
 				}
 				p := workload.SPECLike()
-				// The TestCustom prefix keeps TestRegistryLookup's
-				// built-in census accurate whatever the test order.
-				p.Name = fmt.Sprintf("TestCustomRaceWorkload-%d-%d", w, i)
-				if err := boomsim.RegisterWorkload(p); err != nil && !errors.Is(err, boomsim.ErrInvalidOption) {
-					t.Errorf("RegisterWorkload: %v", err)
+				p.Name = fmt.Sprintf("RaceWorkload-%d-%d", w, i)
+				if err := workloads.add(p.Name, p); err != nil {
+					t.Errorf("add workload: %v", err)
 				}
 			}
 		}(w)
@@ -50,36 +52,41 @@ func TestRegistryConcurrentRegisterAndLookup(t *testing.T) {
 		go func(r int) {
 			defer wg.Done()
 			for i := 0; i < perWriter; i++ {
-				// Every read path: listings, typed lookups, misses, and
-				// full construction through New.
-				if got := boomsim.Schemes(); len(got) < 15 {
-					t.Errorf("Schemes() shrank to %d entries mid-hammer", len(got))
+				// Every read path: listings, hits and misses.
+				if got := schemes.list(); len(got) < 1 || got[0].Name != "Boomerang" {
+					t.Errorf("scheme listing lost its first entry mid-hammer (%d entries)", len(got))
 				}
-				if got := boomsim.Workloads(); len(got) < 7 {
-					t.Errorf("Workloads() shrank to %d entries mid-hammer", len(got))
+				if got := workloads.list(); len(got) < 1 || got[0].Name != "SPEC-like" {
+					t.Errorf("workload listing lost its first entry mid-hammer (%d entries)", len(got))
 				}
-				if _, err := boomsim.LookupScheme("Boomerang"); err != nil {
-					t.Errorf("LookupScheme(Boomerang): %v", err)
+				if _, err := schemes.lookup("Boomerang"); err != nil {
+					t.Errorf("lookup(Boomerang): %v", err)
 				}
-				if _, err := boomsim.LookupWorkload("Apache"); err != nil {
-					t.Errorf("LookupWorkload(Apache): %v", err)
+				if _, err := workloads.lookup("SPEC-like"); err != nil {
+					t.Errorf("lookup(SPEC-like): %v", err)
 				}
-				if _, err := boomsim.LookupScheme(fmt.Sprintf("TestRaceMissing-%d-%d", r, i)); !errors.Is(err, boomsim.ErrUnknownScheme) {
+				if _, err := schemes.lookup(fmt.Sprintf("RaceMissing-%d-%d", r, i)); !errors.Is(err, ErrUnknownScheme) {
 					t.Errorf("lookup miss = %v, want ErrUnknownScheme", err)
-				}
-				if _, err := boomsim.New(boomsim.WithScheme("FDIP"), boomsim.WithWorkload("DB2")); err != nil {
-					t.Errorf("New during registration churn: %v", err)
 				}
 			}
 		}(r)
 	}
 	wg.Wait()
 
-	// Everything registered during the hammer is immediately resolvable.
+	// Everything registered during the hammer is listed once and resolvable.
+	if n := len(schemes.list()); n != 1+writers*perWriter {
+		t.Errorf("scheme registry holds %d entries, want %d", n, 1+writers*perWriter)
+	}
+	if n := len(workloads.list()); n != 1+writers*perWriter {
+		t.Errorf("workload registry holds %d entries, want %d", n, 1+writers*perWriter)
+	}
 	for w := 0; w < writers; w++ {
-		name := fmt.Sprintf("TestRaceScheme-%d-%d", w, perWriter-1)
-		if _, err := boomsim.LookupScheme(name); err != nil {
+		name := fmt.Sprintf("RaceScheme-%d-%d", w, perWriter-1)
+		if _, err := schemes.lookup(name); err != nil {
 			t.Errorf("scheme %s registered but not found: %v", name, err)
 		}
+	}
+	if err := schemes.add("Boomerang", scheme.Boomerang()); !errors.Is(err, ErrInvalidOption) {
+		t.Errorf("duplicate add = %v, want ErrInvalidOption", err)
 	}
 }
