@@ -4,7 +4,9 @@ import (
 	"testing"
 
 	"boomsim/internal/config"
+	"boomsim/internal/frontend"
 	"boomsim/internal/scheme"
+	"boomsim/internal/sim"
 	"boomsim/internal/workload"
 )
 
@@ -14,6 +16,8 @@ import (
 // handling and the oracle walker — must not touch the heap at all. This is
 // the property behind the simulator's throughput (the per-instruction
 // allocation it replaces was ~40% of wall-clock in allocator and GC time).
+// It holds on a freshly built instance and on the production path: a dense
+// fork of a frozen warm-arena master.
 func TestMeasureLoopAllocationFree(t *testing.T) {
 	apache, ok := workload.ByName("Apache")
 	if !ok {
@@ -28,31 +32,50 @@ func TestMeasureLoopAllocationFree(t *testing.T) {
 		t.Run(s.Name, func(t *testing.T) {
 			inst := s.Build(scheme.Env{Cfg: config.Default(), Img: img, WalkSeed: 1})
 			// Warm caches, predictors and every scratch structure to steady
-			// state before measuring. The flight recorder is detached here
-			// (its default), so this also proves the recorder-off hot path —
-			// one nil compare per cycle — costs zero allocations.
+			// state before measuring.
 			inst.Engine.Run(150_000, 0)
-			allocs := testing.AllocsPerRun(5, func() {
-				inst.Engine.ResetStats()
-				inst.Engine.Run(20_000, 0)
-			})
-			if allocs != 0 {
-				t.Fatalf("steady-state measure loop allocated %v times per 20K instructions; want 0", allocs)
-			}
-
-			// Recorder-on variant: the recorder preallocates its epoch buffer
-			// at attach, so steady-state recording — snapshotting windowed
-			// counters every 1K cycles — must also never touch the heap.
-			// Attach outside the measured closure (the one-time buffer
-			// allocation is the contract's explicit exception).
-			inst.Engine.StartFlightRecorder(1_000, 4096)
-			allocs = testing.AllocsPerRun(5, func() {
-				inst.Engine.Run(20_000, 0)
-			})
-			inst.Engine.StopFlightRecorder()
-			if allocs != 0 {
-				t.Fatalf("recording measure loop allocated %v times per 20K instructions; want 0", allocs)
-			}
+			requireMeasureLoopAllocationFree(t, inst.Engine)
 		})
+		t.Run(s.Name+" fork of frozen master", func(t *testing.T) {
+			// The warm arena's path: warm a master, freeze it, measure a
+			// fork of it.
+			spec := sim.DefaultSpec(s, apache)
+			spec.WarmInstrs = 150_000
+			master, err := sim.WarmInstance(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			master.Freeze()
+			requireMeasureLoopAllocationFree(t, master.Clone().Engine)
+		})
+	}
+}
+
+// requireMeasureLoopAllocationFree measures a warmed engine's loop with the
+// flight recorder detached (its default, so this also proves the
+// recorder-off hot path — one nil compare per cycle — costs zero
+// allocations) and attached.
+func requireMeasureLoopAllocationFree(t *testing.T, eng *frontend.Engine) {
+	t.Helper()
+	allocs := testing.AllocsPerRun(5, func() {
+		eng.ResetStats()
+		eng.Run(20_000, 0)
+	})
+	if allocs != 0 {
+		t.Fatalf("steady-state measure loop allocated %v times per 20K instructions; want 0", allocs)
+	}
+
+	// Recorder-on variant: the recorder preallocates its epoch buffer at
+	// attach, so steady-state recording — snapshotting windowed counters
+	// every 1K cycles — must also never touch the heap. Attach outside the
+	// measured closure (the one-time buffer allocation is the contract's
+	// explicit exception).
+	eng.StartFlightRecorder(1_000, 4096)
+	allocs = testing.AllocsPerRun(5, func() {
+		eng.Run(20_000, 0)
+	})
+	eng.StopFlightRecorder()
+	if allocs != 0 {
+		t.Fatalf("recording measure loop allocated %v times per 20K instructions; want 0", allocs)
 	}
 }

@@ -13,7 +13,9 @@ package boomsim_test
 
 import (
 	"context"
+	"fmt"
 	"path/filepath"
+	"runtime"
 	"testing"
 	"time"
 
@@ -416,6 +418,49 @@ func BenchmarkTable2_Workloads(b *testing.B) {
 			}
 		}
 	}
+}
+
+// BenchmarkWarmArenaMaster reports the resident footprint of a warm-arena
+// master for every built-in scheme on Apache (default footprint), warmed
+// 10K and 200K instructions: dense_kb is the warmed instance as built,
+// frozen_kb the form the arena keeps it in (scheme.Instance.Freeze). Both
+// are live heap bytes after a GC; the image and the LLC template are built
+// by an untimed first warm and are shared, so neither is counted. One op =
+// one master warmed and frozen.
+func BenchmarkWarmArenaMaster(b *testing.B) {
+	apache, _ := workload.ByName("Apache")
+	for _, warm := range []uint64{10_000, 200_000} {
+		for _, s := range scheme.Builtins() {
+			b.Run(fmt.Sprintf("warm=%dK/%s", warm/1000, s.Name), func(b *testing.B) {
+				spec := sim.DefaultSpec(s, apache)
+				spec.WarmInstrs = warm
+				if _, err := sim.WarmInstance(spec); err != nil {
+					b.Fatal(err)
+				}
+				var dense, frozen int64
+				for i := 0; i < b.N; i++ {
+					before := liveHeapBytes()
+					inst, err := sim.WarmInstance(spec)
+					if err != nil {
+						b.Fatal(err)
+					}
+					dense = liveHeapBytes() - before
+					inst.Freeze()
+					frozen = liveHeapBytes() - before
+					runtime.KeepAlive(inst)
+				}
+				b.ReportMetric(float64(dense)/1024, "dense_kb")
+				b.ReportMetric(float64(frozen)/1024, "frozen_kb")
+			})
+		}
+	}
+}
+
+func liveHeapBytes() int64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return int64(ms.HeapAlloc)
 }
 
 // BenchmarkBoomerangVsFDIP reports the paper's headline delta at bench

@@ -52,6 +52,10 @@ func NewSetAssoc(sizeKB, assoc int) *SetAssoc {
 	if nsets == 0 {
 		nsets = 1
 	}
+	return newSetAssoc(nsets, assoc)
+}
+
+func newSetAssoc(nsets, assoc int) *SetAssoc {
 	return &SetAssoc{
 		ways:    make([]way, nsets*assoc),
 		assoc:   assoc,
@@ -128,6 +132,13 @@ func (c *SetAssoc) Insert(line Line, now int64) (victim Line, evicted bool) {
 	victim = s[lru].key - 1
 	s[lru] = way{key: key, lastUse: now}
 	return victim, true
+}
+
+// insertRange inserts the lines [first, end) in ascending order at time 0.
+func (c *SetAssoc) insertRange(first, end Line) {
+	for l := first; l < end; l++ {
+		c.Insert(l, 0)
+	}
 }
 
 // Invalidate drops the line if present.

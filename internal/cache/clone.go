@@ -10,13 +10,19 @@ func (c *SetAssoc) Clone() *SetAssoc {
 
 // Clone returns an independent deep copy of the hierarchy: caches, prefetch
 // buffer, MSHR state and counters all duplicated, so advancing the clone
-// never perturbs the original. The fill hook is NOT carried over — it is a
-// closure owned by the scheme that installed it, which must re-attach one
-// bound to the cloned components (see scheme.Instance.Clone).
+// never perturbs the original. The clone of a frozen hierarchy is dense: its
+// LLC is the template with the frozen delta scattered over it. The fill
+// hook is NOT carried over — it is a closure owned by the scheme that
+// installed it, which must re-attach one bound to the cloned components
+// (see scheme.Instance.Clone).
 func (h *Hierarchy) Clone() *Hierarchy {
 	c := *h
 	c.l1 = h.l1.Clone()
-	c.llc = h.llc.Clone()
+	if h.delta != nil {
+		c.llc, c.delta = h.thaw(), nil
+	} else {
+		c.llc = h.llc.Clone()
+	}
 	c.pbuf = append(make([]pbufEntry, 0, cap(h.pbuf)), h.pbuf...)
 	c.mshrSlab = append(make([]mshr, 0, cap(h.mshrSlab)), h.mshrSlab...)
 	c.mshrFree = append(make([]int32, 0, cap(h.mshrFree)), h.mshrFree...)

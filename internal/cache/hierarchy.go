@@ -108,6 +108,12 @@ type Hierarchy struct {
 	fillHook func(line Line, now int64)
 
 	stats HierarchyStats
+
+	// tmpl is the template the LLC was loaded from (see LoadLLC); delta is
+	// non-nil while the hierarchy is frozen, and the LLC's ways are then
+	// nil (see Freeze).
+	tmpl  *LLCTemplate
+	delta *llcDelta
 }
 
 // SetFillHook registers a callback invoked for every line fill as it
@@ -431,7 +437,5 @@ func (h *Hierarchy) WarmLLC(lines []Line) {
 // WarmLLCRange is WarmLLC over the consecutive lines [first, end), inserted
 // in ascending order, without materialising the line list.
 func (h *Hierarchy) WarmLLCRange(first, end Line) {
-	for l := first; l < end; l++ {
-		h.llc.Insert(l, 0)
-	}
+	h.llc.insertRange(first, end)
 }

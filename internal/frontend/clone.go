@@ -25,6 +25,17 @@ type CloneDeps struct {
 // handler when cloning an instance.
 func (e *Engine) MissPolicy() MissHandler { return e.miss }
 
+// Freeze marks the engine as a frozen warm master and compacts its walker
+// (see program.Walker.Freeze). A frozen engine cannot run — Run panics — but
+// Clone returns a dense, runnable copy of it. The scheme layer freezes the
+// engine's hierarchy alongside it (see scheme.Instance.Freeze).
+func (e *Engine) Freeze() {
+	if w, ok := e.orc.(*program.Walker); ok {
+		w.Freeze()
+	}
+	e.frozen = true
+}
+
 // Clone returns an independent deep copy of the engine mid-execution: the
 // clone and the original produce identical cycle-by-cycle behaviour from
 // this point while sharing no mutable state. It returns nil when the engine
@@ -46,6 +57,7 @@ func (e *Engine) Clone(d CloneDeps) *Engine {
 		return nil
 	}
 	c := *e
+	c.frozen = false
 	c.orc = orc
 	c.hier = d.Hierarchy
 	c.dir = d.Direction

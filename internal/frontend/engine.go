@@ -261,6 +261,10 @@ type Engine struct {
 	// default configuration: the steady-state loop then pays exactly one
 	// pointer compare per cycle and keeps its zero-alloc contract.
 	rec *Recorder
+
+	// frozen marks a warm-arena master whose state has been compacted (see
+	// Freeze); it only ever runs through a Clone.
+	frozen bool
 }
 
 // New builds an engine. It panics on nil required dependencies (programming
@@ -358,6 +362,9 @@ func (e *Engine) ResetStats() {
 // The horizon is clamped to the cycle bound and to the next flight-recorder
 // boundary, so window semantics and epoch tiling are bit-for-bit unchanged.
 func (e *Engine) Run(targetInstrs uint64, maxCycles int64) Stats {
+	if e.frozen {
+		panic("frontend: Run on a frozen warm master; run a Clone of it")
+	}
 	for e.be.Retired()-e.retireBase < targetInstrs {
 		if maxCycles > 0 && e.cycle-e.cycleBase >= maxCycles {
 			break

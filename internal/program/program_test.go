@@ -1,6 +1,7 @@
 package program
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -412,6 +413,37 @@ func TestFunctionEntriesAligned(t *testing.T) {
 	for _, f := range img.Functions {
 		if f.Entry%16 != 0 {
 			t.Fatalf("function entry %#x not 16-byte aligned", f.Entry)
+		}
+	}
+}
+
+// TestFrozenWalkerClone: a clone of a frozen walker steps exactly like a
+// clone of the same walker taken before freezing, and the frozen form keeps
+// only the nonzero occurrence counters.
+func TestFrozenWalkerClone(t *testing.T) {
+	img := MustGenerate(smallParams(3))
+	w := NewWalker(img, 11)
+	for i := 0; i < 5_000; i++ {
+		w.Next()
+	}
+	dense := w.Clone()
+	w.Freeze()
+	if w.occ != nil {
+		t.Fatal("frozen walker kept its dense counters")
+	}
+	for _, e := range w.frozen {
+		if e.n == 0 || dense.occ[e.block] != e.n {
+			t.Fatalf("frozen counter %+v does not match the dense walker", e)
+		}
+	}
+	fork := w.Clone()
+	if !reflect.DeepEqual(fork, dense) {
+		t.Fatal("clone of the frozen walker differs from the dense walker")
+	}
+	for i := 0; i < 5_000; i++ {
+		a, b := fork.Next(), dense.Next()
+		if a.Block != b.Block || a.Taken != b.Taken || a.Target != b.Target || a.EntryClass != b.EntryClass {
+			t.Fatalf("step %d: fork %+v, dense %+v", i, a, b)
 		}
 	}
 }

@@ -37,6 +37,9 @@ type Walker struct {
 	// branch PC: this counter is read and written once per executed block,
 	// making it one of the hottest accesses in the simulator.
 	occ []uint32
+	// frozen holds the nonzero counters while the walker is frozen (occ is
+	// then nil; see Freeze).
+	frozen []occCount
 
 	steps      uint64
 	instrs     uint64

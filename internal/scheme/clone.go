@@ -7,10 +7,10 @@ import (
 	"boomsim/internal/prefetch"
 )
 
-// Clone returns an independent deep copy of a built (and possibly warmed)
-// instance: the fork and the original simulate identically from this point
-// while sharing no mutable state, so a fork of a warmed instance is
-// indistinguishable from a fresh warm of the same spec. It returns nil when
+// Clone returns an independent deep copy of a built (and possibly warmed or
+// frozen) instance: the fork and the original simulate identically from
+// this point while sharing no mutable state, so a fork of a warmed instance
+// is indistinguishable from a fresh warm of the same spec. It returns nil when
 // any component is not clonable (an engine driven by a non-walker oracle, or
 // a component type this package does not know) — callers fall back to
 // building and warming a fresh instance.
@@ -67,6 +67,17 @@ func (i *Instance) Clone() *Instance {
 		return nil
 	}
 	return c
+}
+
+// Freeze compacts a warmed instance into the form the warm arena keeps
+// resident: the LLC keeps only the sets that differ from the template it was
+// loaded from, the walker only its nonzero occurrence counters; all other
+// state is small and stays dense. A frozen instance cannot run (Engine.Run
+// panics), but Clone expands it into a dense fork that simulates exactly as
+// the unfrozen instance would have.
+func (i *Instance) Freeze() {
+	i.Hier.Freeze()
+	i.Engine.Freeze()
 }
 
 func cloneDirection(d bpu.Direction) bpu.Direction {

@@ -101,18 +101,21 @@ type Result struct {
 	Epochs []frontend.Epoch
 }
 
-// memos is the state runs share within a process: generated images and the
-// warm arena's masters (see warm.go). RunContext and WarmInstance use the
-// process-wide value; tests build their own to observe a cold arena.
+// memos is the state runs share within a process: generated images, the
+// preloaded LLC templates and the warm arena's masters (see warm.go).
+// RunContext and WarmInstance use the process-wide value; tests build their
+// own to observe a cold arena.
 type memos struct {
-	images  *memo.Memo[*program.Image]
-	masters *memo.Memo[*scheme.Instance]
+	images    *memo.Memo[*program.Image]
+	templates *memo.Memo[*cache.LLCTemplate]
+	masters   *memo.Memo[*scheme.Instance]
 }
 
 func newMemos() *memos {
 	return &memos{
-		images:  memo.New[*program.Image](imageCacheEntries),
-		masters: memo.New[*scheme.Instance](warmArenaEntries),
+		images:    memo.New[*program.Image](imageCacheEntries),
+		templates: memo.New[*cache.LLCTemplate](templateCacheEntries),
+		masters:   memo.New[*scheme.Instance](warmArenaEntries),
 	}
 }
 
@@ -135,6 +138,30 @@ func (m *memos) imageFor(p workload.Profile, seed uint64) (*program.Image, error
 	key := fmt.Sprintf("%s/%d/%+v", p.Name, seed, p.Gen)
 	img, _, err := m.images.Do(key, func() (*program.Image, error) { return p.Image(seed) })
 	return img, err
+}
+
+// The template cache memoises the preloaded LLC every build starts from
+// (cache.LLCTemplate): a pure function of the text's line range and the LLC
+// geometry, so it is keyed on those integers and shared by every image and
+// scheme with the same pair — SHIFT/Confluence's reserved-capacity LLC is
+// one more geometry. A template is the LLC tag array, 2 MB at the default
+// 8 MB LLC, and frozen arena masters are deltas from one, so it is bounded
+// like the image cache: at most 64 MB of templates at the default LLC.
+const templateCacheEntries = 32
+
+// loadLLCTemplate preloads inst's LLC with img's text, copied from the
+// template for the text range and the LLC's geometry.
+func (m *memos) loadLLCTemplate(inst *scheme.Instance, img *program.Image) {
+	first := cache.LineOf(img.Base)
+	end := first + (img.Limit-img.Base+isa.BlockBytes-1)/isa.BlockBytes
+	sets, assoc := inst.Hier.LLCGeometry()
+	key := fmt.Sprintf("%d-%d/%dx%d", first, end, sets, assoc)
+	// The build cannot fail, so neither can Do (it errs only for callers
+	// sharing a build that panicked, which a bug alone can cause).
+	t, _, _ := m.templates.Do(key, func() (*cache.LLCTemplate, error) {
+		return cache.NewLLCTemplate(sets, assoc, first, end), nil
+	})
+	inst.Hier.LoadLLC(t)
 }
 
 // Hooks customises a context-aware run. The zero value means "no
@@ -239,7 +266,7 @@ func (m *memos) buildWarm(ctx context.Context, spec Spec, chunk uint64) (*scheme
 	inst.Engine.SetCycleSkip(!spec.DisableCycleSkip)
 	// The paper measures from SMARTS checkpoints with warmed caches: all 16
 	// cores run the same binary, so its text is LLC-resident. Preload it.
-	warmLLCWithImage(inst, img)
+	m.loadLLCTemplate(inst, img)
 	if spec.WarmInstrs > 0 {
 		if err := runWindow(ctx, inst.Engine, spec.WarmInstrs, 0, chunk, nil); err != nil {
 			return nil, err
@@ -360,11 +387,6 @@ func runWindow(ctx context.Context, eng windowEngine, target uint64, maxCycles i
 		done = st.RetiredInstrs
 		prevCycles = st.Cycles
 	}
-}
-
-func warmLLCWithImage(inst *scheme.Instance, img *program.Image) {
-	first := cache.LineOf(img.Base)
-	inst.Hier.WarmLLCRange(first, first+(img.Limit-img.Base+isa.BlockBytes-1)/isa.BlockBytes)
 }
 
 // WarmInstance performs everything Run does up to the measurement window —

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"strings"
+	"sync"
 	"testing"
 
 	"boomsim/internal/frontend"
@@ -72,21 +74,22 @@ func TestWarmMeasureBoundary(t *testing.T) {
 	}
 }
 
-// TestForkMatchesFreshWarm proves, for every built-in scheme, that a forked
-// snapshot is indistinguishable from a fresh warm — and that forking and
-// running a fork leaves the master untouched (a second, later fork behaves
-// identically to the first).
+// TestForkMatchesFreshWarm proves, for every built-in scheme, that a fork of
+// a frozen arena master is indistinguishable from a fresh warm — and that
+// forking and running a fork leaves the master untouched (a second, later
+// fork behaves identically to the first).
 func TestForkMatchesFreshWarm(t *testing.T) {
+	ctx := context.Background()
+	m := newMemos()
 	w := fastProfile("DB2")
 	for _, s := range scheme.Builtins() {
 		s := s
 		t.Run(s.Name, func(t *testing.T) {
 			spec := fastSpec(s, w)
-			spec.ReuseWarm = false
 			spec.WarmInstrs = 30_000
 			spec.MeasureInstrs = 60_000
 
-			master, err := WarmInstance(spec)
+			master, err := m.buildMaster(ctx, spec, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -94,14 +97,14 @@ func TestForkMatchesFreshWarm(t *testing.T) {
 			if fork == nil {
 				t.Fatalf("%s: instance not clonable", s.Name)
 			}
-			fresh, err := WarmInstance(spec)
+			fresh, err := m.buildWarm(ctx, spec, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
 			fork.Engine.Run(spec.MeasureInstrs, spec.MaxCycles)
 			fresh.Engine.Run(spec.MeasureInstrs, spec.MaxCycles)
-			requireResultsEqual(t, s.Name+" fork-vs-fresh",
-				collectResult(spec, fork), collectResult(spec, fresh))
+			want := collectResult(spec, fresh)
+			requireResultsEqual(t, s.Name+" fork-vs-fresh", collectResult(spec, fork), want)
 
 			// The measured fork must not have written through to the master:
 			// a second fork taken afterwards behaves identically.
@@ -110,9 +113,85 @@ func TestForkMatchesFreshWarm(t *testing.T) {
 				t.Fatalf("%s: second fork not clonable", s.Name)
 			}
 			fork2.Engine.Run(spec.MeasureInstrs, spec.MaxCycles)
-			requireResultsEqual(t, s.Name+" refork-vs-fresh",
-				collectResult(spec, fork2), collectResult(spec, fresh))
+			requireResultsEqual(t, s.Name+" refork-vs-fresh", collectResult(spec, fork2), want)
 		})
+	}
+}
+
+// TestConcurrentForksOfFrozenMaster forks one frozen master from 8
+// goroutines at once: every fork must measure exactly what a fresh warm
+// does (the race detector checks that forking only reads the master and
+// the shared LLC template).
+func TestConcurrentForksOfFrozenMaster(t *testing.T) {
+	ctx := context.Background()
+	m := newMemos()
+	spec := fastSpec(scheme.Confluence(), fastProfile("Apache"))
+	spec.WarmInstrs = 30_000
+	spec.MeasureInstrs = 60_000
+	master, err := m.buildMaster(ctx, spec, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := m.buildWarm(ctx, spec, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh.Engine.Run(spec.MeasureInstrs, spec.MaxCycles)
+	want := collectResult(spec, fresh)
+
+	got := make([]Result, 8)
+	var wg sync.WaitGroup
+	for g := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			fork := master.Clone()
+			fork.Engine.Run(spec.MeasureInstrs, spec.MaxCycles)
+			got[g] = collectResult(spec, fork)
+		}()
+	}
+	wg.Wait()
+	for g, r := range got {
+		requireResultsEqual(t, fmt.Sprintf("fork %d vs fresh", g), r, want)
+	}
+}
+
+// TestFrozenMasterDoesNotRun: a frozen master only runs through a Clone;
+// running it directly panics with a message saying so, not with an index
+// out of range somewhere in the LLC or the walker.
+func TestFrozenMasterDoesNotRun(t *testing.T) {
+	spec := fastSpec(scheme.Boomerang(), fastProfile("Apache"))
+	spec.WarmInstrs = 10_000
+	master, err := newMemos().buildMaster(context.Background(), spec, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "frozen warm master") {
+			t.Fatalf("running a frozen master panicked with %q, want a frozen-master message", msg)
+		}
+	}()
+	master.Engine.Run(1_000, 0)
+}
+
+// TestLabelsDoNotSplitMasters: the warm key covers model inputs only, so
+// Boomerang-N2 — Boomerang under another name — forks the master a
+// Boomerang run warmed, and its result still equals a private warm's, under
+// its own name.
+func TestLabelsDoNotSplitMasters(t *testing.T) {
+	ctx := context.Background()
+	m := newMemos()
+	w := fastProfile("DB2")
+	runObserved(ctx, t, m, fastSpec(scheme.Boomerang(), w), "fresh")
+	n2 := fastSpec(scheme.BoomerangThrottled(2), w)
+	n2.Scheme.Name = "Boomerang-N2"
+	shared := runObserved(ctx, t, m, n2, "fork")
+	n2.ReuseWarm = false
+	private := runObserved(ctx, t, m, n2, "fresh")
+	requireResultsEqual(t, "Boomerang-N2 forked from Boomerang vs reuse off", shared, private)
+	if shared.SchemeName != "Boomerang-N2" {
+		t.Fatalf("SchemeName %q, want Boomerang-N2", shared.SchemeName)
 	}
 }
 

@@ -124,14 +124,16 @@ func WithMaxCycles(cycles int64) Option {
 }
 
 // WithWarmReuse toggles warm-state reuse (on by default): runs sharing a
-// warm-relevant configuration — scheme, workload, seeds, core config,
-// predictor and warm length — fork one process-wide warmed snapshot instead
+// warm-relevant configuration — scheme (its model inputs, not its name),
+// workload, seeds, core config, predictor and warm length — fork one
+// process-wide warmed snapshot instead
 // of each re-simulating the warm window, so sweeps pay the warm cost once
 // per configuration rather than once per run. Results are byte-identical
 // either way (a fork is indistinguishable from a fresh warm), which is why
 // reuse does not participate in Key: it is purely a wall-clock and memory
-// trade. Disable it to bound resident memory (each cached snapshot holds a
-// few MB of warmed cache state) or when auditing the simulator itself.
+// trade. Disable it to bound resident memory (each cached snapshot is kept
+// as a 0.2–2.4 MB delta from a shared preloaded LLC) or when auditing the
+// simulator itself.
 func WithWarmReuse(on bool) Option {
 	return func(s *Simulation) error {
 		s.warmReuse = on
